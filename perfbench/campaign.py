@@ -19,6 +19,10 @@ Modes:
   a fresh stage cache and result cache but warm ``aig.sop`` memos: the
   gap between the two is what a fresh process pays for the memo fill.
 
+In every mode the script times a calibration kernel during set-up and
+during the campaign, and reports the speed factors it found next to the
+times as measured (``speed.py``).
+
 Example::
 
     python3 perfbench/campaign.py --workload fuzz-200 --seed 0 \\
@@ -28,6 +32,7 @@ Example::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import resource
 import sys
@@ -46,7 +51,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--mode", choices=MODES, default="run")
     parser.add_argument("--cache-dir", required=True, type=Path)
-    parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--trace-dir", type=Path, default=ROOT / ".perfbench" / "traces")
     parser.add_argument("--tiny", action="store_true",
                         help="reduced inputs (the benchmark's own tests)")
@@ -76,17 +81,40 @@ def _memo_stats() -> dict:
 
 
 def _timed(campaign, workload: str) -> dict:
+    """Run the campaign, check it, and time it at the reference speed.
+
+    ``wall_s`` and ``cpu_s`` are the times as measured, less the
+    calibration kernel's calls; ``campaign_s`` and ``campaign_cpu_s``
+    are the same times rescaled by ``speed_factor`` (see ``speed.py``;
+    1 for ``workloads.WORKER_WORKLOADS``).
+    """
+    import speed
     import workloads
 
+    # Where units run in worker processes, a calibration kernel in this
+    # process would share a core with a worker and measure that
+    # contention instead of the host's speed: report times as measured.
+    sampler = None if workload in workloads.WORKER_WORKLOADS else speed.Sampler()
     cpu_before = _cpu_seconds()
     started = time.perf_counter()
-    records = campaign()
-    campaign_s = time.perf_counter() - started
+    with sampler or contextlib.nullcontext():
+        records = campaign()
+    wall_s = time.perf_counter() - started
     cpu_s = _cpu_seconds() - cpu_before
+    calibration_s, factor = 0.0, 1.0
+    if sampler is not None:
+        calibration_s = sampler.spent_s
+        wall_s -= sampler.spent_s
+        cpu_s -= sampler.spent_cpu_s
+        factor = sampler.factor()
     check = workloads.check_records(workload, records)
     return {
-        "campaign_s": campaign_s,
-        "campaign_cpu_s": cpu_s,
+        "campaign_s": wall_s * factor,
+        "campaign_cpu_s": cpu_s * factor,
+        "wall_s": wall_s,
+        "cpu_s": cpu_s,
+        "speed_factor": factor,
+        "calibration_s": calibration_s,
         "units": check.units,
         "failed_units": check.failed_units,
         "unit_digests": check.unit_digests,
@@ -101,10 +129,13 @@ def _write_trace(args, tracer, origin: float, result: dict) -> None:
     import tracing
     from repro.sim.pulse import total_events_processed
 
+    # Spans hold times as measured, the calibration kernel's calls
+    # included, so they are compared with the wall time as measured.
+    wall_s = result["wall_s"] + result["calibration_s"]
     result["layer_metrics"] = tracing.layer_metrics(
-        tracer, result["campaign_s"], total_events_processed()
+        tracer, wall_s, total_events_processed()
     )
-    result["table"] = tracing.self_time_table(tracer, result["campaign_s"])
+    result["table"] = tracing.self_time_table(tracer, wall_s)
     args.trace_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{args.workload}-s{args.seed}"
     metadata = {"workload": args.workload, "seed": args.seed,
@@ -117,16 +148,28 @@ def _write_trace(args, tracer, origin: float, result: dict) -> None:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    import workloads
+    # Set-up is timed by the parent, from spawn to ``ready``; the
+    # calibration kernel runs through it too, and its cost is reported
+    # so that the parent can take it off again (see ``speed.py``).
+    started = time.perf_counter()
+    import speed
 
-    campaign = workloads.prepare(args.workload, args.seed, args.cache_dir, tiny=args.tiny)
-    tracer = None
-    if args.mode == "trace":
-        import tracing
+    with speed.Sampler(speed.SETUP_INTERVAL_S) as sampler:
+        import_s = time.perf_counter() - started
+        import workloads
 
-        tracer = tracing.install()
+        campaign = workloads.prepare(args.workload, args.seed, args.cache_dir,
+                                     tiny=args.tiny)
+        tracer = None
+        if args.mode == "trace":
+            import tracing
+
+            tracer = tracing.install()
     print("ready", flush=True)
+    setup = {"setup_factor": sampler.factor(),
+             "setup_overhead_s": import_s + sampler.spent_s}
     if args.mode == "setup":
+        args.out.write_text(json.dumps(setup))
         return 0
 
     origin = time.perf_counter()
@@ -142,12 +185,9 @@ def main(argv=None) -> int:
                                   args.cache_dir / "repeat", tiny=args.tiny)
         result["repeat"] = _timed(again, args.workload)
         result["memo_repeat"] = _memo_stats()
+    result.update(setup)
     result["peak_rss_mb"] = _peak_rss_mb()
-    text = json.dumps(result, indent=1)
-    if args.out is not None:
-        args.out.write_text(text)
-    else:
-        print(text)
+    args.out.write_text(json.dumps(result, indent=1))
     return 0
 
 

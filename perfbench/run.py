@@ -2,13 +2,15 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload catalog-verify --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload catalog-verify --seed 1 --seconds 30 --trace 0
 
 Every campaign runs in a fresh interpreter (``campaign.py``) with a fresh
 result-cache directory under ``.perfbench/``.  With ``--trace 0`` the
-script repeats the campaign until ``--seconds`` have passed (at least
-once), times set-up separately in further fresh interpreters, and
-reports the end-to-end metrics of ``BENCHMARK.json`` as medians.  With
+script repeats the campaign while another one would likely end within
+``--seconds`` (at least once), times set-up separately in further fresh
+interpreters, and reports the end-to-end metrics of ``BENCHMARK.json``
+as medians.  Times are reported at a reference host speed, measured
+with a calibration kernel during each campaign (``speed.py``).  With
 ``--trace 1`` it runs the campaign once untraced and once with every
 layer wrapped, and reports the per-layer metrics, the tracing overhead
 and the share of wall time no span covers; the Chrome trace-event file
@@ -48,10 +50,6 @@ WORKLOADS = ("catalog-verify", "fuzz-200", "faults-margin", "fuzz-200-workers2")
 
 #: Fresh interpreters timed for ``setup_s`` besides each campaign's own.
 SETUP_SAMPLES = 3
-
-#: No further campaign starts when the run would pass this many seconds,
-#: so a run on a slow machine stays well inside three minutes.
-LAST_START_S = 50.0
 
 #: A single campaign process is killed after this long.
 CAMPAIGN_TIMEOUT_S = 150.0
@@ -94,7 +92,11 @@ class Session:
         shutil.rmtree(self.dir, ignore_errors=True)
 
     def campaign(self, mode: str) -> tuple:
-        """Start ``campaign.py``; return (set-up seconds, result or None)."""
+        """Start ``campaign.py``; return (set-up seconds, result or None).
+
+        The set-up seconds are rescaled to the reference speed with the
+        calibration the process made during set-up (``speed.py``).
+        """
         self.count += 1
         cache_dir = self.dir / f"cache{self.count}"
         out = self.dir / f"result{self.count}.json"
@@ -121,9 +123,10 @@ class Session:
         if line.strip() != "ready" or code != 0:
             raise BenchError(f"campaign process ({mode}) failed with exit code {code}")
         shutil.rmtree(cache_dir, ignore_errors=True)
-        if mode == "setup":
-            return setup_s, None
-        return setup_s, json.loads(out.read_text())
+        result = json.loads(out.read_text())
+        # Set-up time without the calibration, at the reference speed.
+        setup_s = (setup_s - result["setup_overhead_s"]) * result["setup_factor"]
+        return setup_s, (None if mode == "setup" else result)
 
 
 def _digest_key(workload: str, seed: int, tiny: bool) -> str:
@@ -162,11 +165,13 @@ def measure(session: Session) -> tuple:
     setups, results = [], []
     started = time.perf_counter()
     while True:
+        began = time.perf_counter()
         setup_s, result = session.campaign("run")
         setups.append(setup_s)
         results.append(result)
         elapsed = time.perf_counter() - started
-        if elapsed >= args.seconds or elapsed + result["campaign_s"] > LAST_START_S:
+        # Start no campaign that would likely end after ``--seconds``.
+        if elapsed + (time.perf_counter() - began) > args.seconds:
             break
     for _ in range(SETUP_SAMPLES):
         setups.append(session.campaign("setup")[0])
@@ -184,7 +189,9 @@ def measure(session: Session) -> tuple:
         "jj_total": results[0]["jj_total"],
     }
     print(f"perfbench: {len(results)} campaign(s), campaign_s "
-          f"{[round(r['campaign_s'], 3) for r in results]}, "
+          f"{[round(r['campaign_s'], 3) for r in results]} at the reference "
+          f"speed, {[round(r['wall_s'], 3) for r in results]} as measured "
+          f"(speed factors {[round(r['speed_factor'], 3) for r in results]}), "
           f"statuses {results[0]['statuses']}")
     return metrics, results
 

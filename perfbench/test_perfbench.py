@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import json
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
+import speed  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -77,6 +80,37 @@ def test_workers_and_serial_fuzz_records_are_identical(traced):
     assert workers["failed_units"] == []
     assert workers["unit_digests"] == serial["unit_digests"]
     assert workers["jj_total"] == serial["jj_total"]
+
+
+def test_sampler_times_the_kernel_and_restores_the_alarm_handler():
+    previous = signal.getsignal(signal.SIGALRM)
+    with speed.Sampler(0.01) as sampler:
+        deadline = time.perf_counter() + 0.3
+        while time.perf_counter() < deadline:
+            sum(range(1000))
+    assert signal.getsignal(signal.SIGALRM) is previous
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert len(sampler.samples) >= 3
+    assert 0 < sampler.spent_s == pytest.approx(sum(sampler.samples))
+    assert sampler.factor() == pytest.approx(
+        speed.REFERENCE_KERNEL_S / speed.typical(sampler.samples))
+
+
+def test_typical_drops_the_outer_tenths():
+    assert speed.typical([1.0] * 9 + [100.0]) == 1.0
+    assert speed.typical([1.0, 3.0]) == 2.0
+
+
+def test_campaign_times_are_rescaled_except_on_workers(traced):
+    for workload, result in traced.items():
+        factor = result["speed_factor"]
+        assert result["campaign_s"] == pytest.approx(result["wall_s"] * factor)
+        assert result["campaign_cpu_s"] == pytest.approx(result["cpu_s"] * factor)
+        assert result["setup_factor"] > 0 and result["setup_overhead_s"] > 0
+        if workload == "fuzz-200-workers2":
+            assert factor == 1.0 and result["calibration_s"] == 0.0
+        else:
+            assert factor > 0 and result["calibration_s"] >= 0.0
 
 
 def test_self_time_subtracts_direct_children_only():

@@ -72,8 +72,13 @@ class CampaignCheck:
     statuses: Dict[str, int]
 
 
+#: Workloads whose units run in two worker processes; the others run
+#: serially in the campaign's own process.
+WORKER_WORKLOADS = ("fuzz-200-workers2",)
+
+
 def _runner(workload: str, cache_dir: Path) -> Runner:
-    if workload == "fuzz-200-workers2":
+    if workload in WORKER_WORKLOADS:
         return Runner(jobs=2, cache=ResultCache(cache_dir), executor="workers")
     return Runner(jobs=1, cache=ResultCache(cache_dir), executor="serial")
 
