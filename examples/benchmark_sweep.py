@@ -9,8 +9,9 @@ the xSFQ flow and the clocked-RSFQ baselines through the parallel
 experiment engine (:func:`repro.run_experiment`), then prints
 Table-3/4/5/6 style reports plus the headline average JJ reduction.
 
-With ``--jobs N`` the per-circuit synthesis jobs run on an N-process
-worker pool, and completed jobs are memoised in the on-disk result cache
+With ``--jobs N`` (N > 1) the per-circuit synthesis jobs run on N
+supervised worker processes (``jobs=1`` stays in-process), and
+completed jobs are memoised in the on-disk result cache
 (``REPRO_CACHE_DIR``, default ``~/.cache/repro-xsfq``) — so re-running
 the sweep, or following it with ``repro run table4 --effort low`` (the
 cache key includes the effort, so it must match the sweep's), performs

@@ -24,7 +24,7 @@ The determinism contract, and how each piece honours it:
   mid-write leaves the previous batch's checkpoint intact.
 
 Scheduling rides on :meth:`repro.eval.runner.Runner.fuzz`, so cached
-verdicts replay for free and worker pools apply per batch.  The CLI
+verdicts replay for free and worker processes apply per batch.  The CLI
 surface is ``repro fuzz --soak --checkpoint DIR [--shards N
 [--shard-index I]] [--merge]``; see ``docs/fuzzing.md``.
 """
@@ -277,7 +277,7 @@ def run_soak(
     Args:
         campaign: The shard's identity.
         runner: A :class:`repro.eval.runner.Runner` — scheduling, result
-            caching and worker pools are its concern; soak adds batching,
+            caching and worker processes are its concern; soak adds batching,
             coverage folding and the durable cursor.
         checkpoint_dir: Directory holding the shard checkpoints.
         max_batches: Stop after this many batches *this call* (the

@@ -6,7 +6,7 @@ Two layers:
   each of which enumerates declarative synthesis jobs and renders the
   paper-style table;
 * :mod:`repro.eval.engine` / :mod:`repro.eval.runner` — the execution
-  engine: content-addressed result cache, multiprocessing worker pool,
+  engine: content-addressed result cache, executor-backed scheduling,
   the :data:`~repro.eval.runner.EXPERIMENTS` spec registry, and JSON/CSV
   emission behind the ``repro`` CLI (:mod:`repro.eval.cli`).
 """

@@ -3,7 +3,7 @@
 Seven subcommands::
 
     repro list                 # what can be reproduced, and with what
-    repro run table4 --jobs 4  # reproduce artefacts on a worker pool
+    repro run table4 --jobs 4  # reproduce artefacts on 4 worker processes
     repro verify --catalog     # pulse-level equivalence campaign
     repro fuzz --budget 200    # differential fuzzing on generated circuits
     repro faults --catalog     # fault injection + robustness margins
@@ -12,13 +12,17 @@ Seven subcommands::
 
 ``repro run`` accepts one or more experiment names (or ``all``), executes
 their synthesis jobs through the parallel runner with the shared
-content-addressed result cache (``--cache-dir`` / ``REPRO_CACHE_DIR``,
-``--no-cache`` to disable), prints the paper-style tables, with
+content-addressed result cache (``REPRO_CACHE_DIR`` by default), prints
+the paper-style tables, with
 ``--stage-timing`` also the per-stage (frontend / aig-opt / polarity /
 map / ...) observer timing table, and with ``--save DIR`` emits
 machine-readable JSON + CSV per experiment.  ``repro list`` additionally
 shows which experiments share a cached ``aig-opt`` stage prefix (the
 stage cache reuses the optimised AIG across them).
+
+``run``, ``verify``, ``fuzz`` and ``faults`` share one set of campaign
+flags (:func:`_add_campaign_args`): worker count, execution backend,
+per-unit timeout, cache location and quiet mode.
 
 ``repro verify`` synthesises catalogued circuits and batch-simulates
 hundreds of stimulus patterns per circuit at the pulse level against
@@ -53,11 +57,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from ..exec import EXECUTOR_NAMES
+from ..exec import EXECUTOR_NAMES, executor_name
 from .engine import ResultCache
 from .runner import (
     EXPERIMENTS,
@@ -85,18 +90,41 @@ def _positive_jobs(value: str) -> int:
     return jobs
 
 
-def _add_executor_args(cmd: argparse.ArgumentParser) -> None:
-    """The execution-backend flags shared by every campaign subcommand."""
-    cmd.add_argument("--executor", choices=EXECUTOR_NAMES, default="pool",
+def _positive_seconds(value: str) -> float:
+    """argparse type for ``--unit-timeout``: a finite number of seconds > 0."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise argparse.ArgumentTypeError(
+            f"unit timeout must be a finite number of seconds > 0, got {value!r}"
+        )
+    return seconds
+
+
+def _add_campaign_args(cmd: argparse.ArgumentParser) -> None:
+    """The scheduling, cache and progress flags every campaign shares."""
+    cmd.add_argument("-j", "--jobs", type=_positive_jobs, default=1, metavar="N",
+                     help="worker processes (default: 1)")
+    cmd.add_argument("--executor", choices=EXECUTOR_NAMES, default=None,
                      help="execution backend: 'serial' stays in-process, "
-                          "'pool' is a throwaway multiprocessing pool "
-                          "(default), 'workers' supervises long-lived worker "
-                          "processes with crash isolation and retries")
-    cmd.add_argument("--unit-timeout", type=float, default=None,
+                          "'workers' supervises long-lived worker processes "
+                          "with crash isolation, retries and timeouts "
+                          "(default: serial for -j 1 without --unit-timeout, "
+                          "else workers)")
+    cmd.add_argument("--unit-timeout", type=_positive_seconds, default=None,
                      metavar="SECONDS",
                      help="per-unit wall-clock budget enforced by the "
                           "'workers' backend; an overrunning unit is killed "
                           "and recorded with status=error")
+    cmd.add_argument("--cache-dir", default=None, metavar="DIR",
+                     help="result cache directory (default: REPRO_CACHE_DIR "
+                          "or ~/.cache/repro-xsfq)")
+    cmd.add_argument("--no-cache", action="store_true",
+                     help="disable the on-disk result cache")
+    cmd.add_argument("-q", "--quiet", action="store_true",
+                     help="suppress per-unit progress lines")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,24 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="benchmark circuit scale (default: quick)")
     run_cmd.add_argument("--effort", choices=EFFORTS, default=None,
                          help="AIG optimisation effort (default: per experiment)")
-    run_cmd.add_argument("-j", "--jobs", type=_positive_jobs, default=1,
-                         metavar="N",
-                         help="worker processes for synthesis jobs (default: 1)")
-    _add_executor_args(run_cmd)
+    _add_campaign_args(run_cmd)
     run_cmd.add_argument("--circuits", nargs="+", metavar="NAME", default=None,
                          help="restrict table4/table6 to these circuits")
-    run_cmd.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="result cache directory (default: REPRO_CACHE_DIR "
-                              "or ~/.cache/repro-xsfq)")
-    run_cmd.add_argument("--no-cache", action="store_true",
-                         help="disable the on-disk result cache")
     run_cmd.add_argument("--save", default=None, metavar="DIR",
                          help="also write <experiment>-<scale>.json/.csv into DIR")
     run_cmd.add_argument("--stage-timing", action="store_true",
                          help="print the per-stage observer timing table "
                               "(frontend, aig-opt, polarity, map, ...)")
-    run_cmd.add_argument("-q", "--quiet", action="store_true",
-                         help="suppress per-job progress lines")
 
     verify_cmd = sub.add_parser(
         "verify", help="pulse-level equivalence campaign over the circuit catalog",
@@ -160,19 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="benchmark circuit scale (default: quick)")
     verify_cmd.add_argument("--effort", choices=EFFORTS, default="medium",
                             help="AIG optimisation effort of the verified flow")
-    verify_cmd.add_argument("-j", "--jobs", type=_positive_jobs, default=1,
-                            metavar="N",
-                            help="worker processes (default: 1)")
-    _add_executor_args(verify_cmd)
-    verify_cmd.add_argument("--cache-dir", default=None, metavar="DIR",
-                            help="result cache directory (default: REPRO_CACHE_DIR "
-                                 "or ~/.cache/repro-xsfq)")
-    verify_cmd.add_argument("--no-cache", action="store_true",
-                            help="disable the on-disk verdict cache")
+    _add_campaign_args(verify_cmd)
     verify_cmd.add_argument("--save", default=None, metavar="DIR",
                             help="also write verify-<scale>.json into DIR")
-    verify_cmd.add_argument("-q", "--quiet", action="store_true",
-                            help="suppress per-circuit progress lines")
 
     from ..core import flow_variant_names
     from ..gen import DEFAULT_FLOWS, FAMILIES
@@ -241,20 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     cov_group.add_argument("--merge", action="store_true",
                            help="merge the shard checkpoints in --checkpoint "
                                 "into soak-merged.json instead of running")
-    fuzz_cmd.add_argument("-j", "--jobs", type=_positive_jobs, default=1,
-                          metavar="N",
-                          help="worker processes (default: 1)")
-    _add_executor_args(fuzz_cmd)
-    fuzz_cmd.add_argument("--cache-dir", default=None, metavar="DIR",
-                          help="result cache directory (default: REPRO_CACHE_DIR "
-                               "or ~/.cache/repro-xsfq)")
-    fuzz_cmd.add_argument("--no-cache", action="store_true",
-                          help="disable the on-disk verdict cache")
+    _add_campaign_args(fuzz_cmd)
     fuzz_cmd.add_argument("--save", default=None, metavar="DIR",
                           help="also write fuzz-<seed>.json (records, shrunk "
                                "reproducers) into DIR")
-    fuzz_cmd.add_argument("-q", "--quiet", action="store_true",
-                          help="suppress per-unit progress lines")
 
     from ..faults import DEFAULT_FAULT_KINDS, fault_kind_names
 
@@ -298,21 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  "circuits (default: 8)")
     faults_cmd.add_argument("--scale", choices=SCALES, default="quick",
                             help="benchmark circuit scale (default: quick)")
-    faults_cmd.add_argument("-j", "--jobs", type=_positive_jobs, default=1,
-                            metavar="N",
-                            help="worker processes (default: 1)")
-    _add_executor_args(faults_cmd)
-    faults_cmd.add_argument("--cache-dir", default=None, metavar="DIR",
-                            help="result cache directory (default: "
-                                 "REPRO_CACHE_DIR or ~/.cache/repro-xsfq)")
-    faults_cmd.add_argument("--no-cache", action="store_true",
-                            help="disable the on-disk record cache")
+    _add_campaign_args(faults_cmd)
     faults_cmd.add_argument("--report", nargs="?", metavar="PATH",
                             const="repro-faults.json", default=None,
                             help="write the repro-faults/1 JSON report "
                                  "(default path: repro-faults.json)")
-    faults_cmd.add_argument("-q", "--quiet", action="store_true",
-                            help="suppress per-unit progress lines")
 
     from ..perf import suite_names
 
@@ -350,7 +338,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
-    return build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "executor"):
+        try:
+            executor_name(args.executor, args.jobs, args.unit_timeout)
+        except ValueError as exc:
+            parser.error(f"--unit-timeout: {exc}")
+    return args
+
+
+def _campaign_runner(args: argparse.Namespace, out) -> Runner:
+    """The runner a campaign command schedules through, from its flags."""
+
+    def progress(line: str) -> None:
+        if not args.quiet:
+            out.write(line + "\n")
+
+    return Runner(
+        jobs=args.jobs,
+        cache=None if args.no_cache else ResultCache(args.cache_dir),
+        progress=progress,
+        executor=args.executor,
+        unit_timeout=args.unit_timeout,
+    )
 
 
 def _shared_prefix_groups() -> List[tuple]:
@@ -431,14 +442,7 @@ def _validate_circuits(circuits: Optional[Sequence[str]]) -> None:
 def _cmd_run(args: argparse.Namespace, out) -> int:
     names = _resolve_experiments(args.experiments)
     _validate_circuits(args.circuits)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-
-    def progress(line: str) -> None:
-        if not args.quiet:
-            out.write(line + "\n")
-
-    runner = Runner(jobs=args.jobs, cache=cache, progress=progress,
-                    executor=args.executor, unit_timeout=args.unit_timeout)
+    runner = _campaign_runner(args, out)
 
     failures: List[str] = []
     for name in names:
@@ -464,6 +468,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
             value for value in report.result.summary.values() if isinstance(value, bool)
         ):
             failures.append(name)
+    cache = runner.cache
     if cache is not None:
         stats = cache.stats()
         out.write(
@@ -509,12 +514,6 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     from ..verify import catalog_specs, render_verification_table
 
     _validate_circuits(args.circuit)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-
-    def progress(line: str) -> None:
-        if not args.quiet:
-            out.write(line + "\n")
-
     flow = Flow.from_options(FlowOptions(effort=args.effort))
     specs = catalog_specs(
         circuits=args.circuit,
@@ -529,9 +528,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
         f"=== verify: {scope} ({len(specs)} circuits, "
         f"{args.patterns} patterns, seed {args.seed}) ===\n"
     )
-    runner = Runner(jobs=args.jobs, cache=cache, progress=progress,
-                    executor=args.executor, unit_timeout=args.unit_timeout)
-    report = runner.verify(specs)
+    report = _campaign_runner(args, out).verify(specs)
     out.write(render_verification_table(report.records) + "\n")
     _print_summary_dict(report.to_dict()["summary"], out)
     out.write(
@@ -589,12 +586,6 @@ def _cmd_fuzz_soak(args: argparse.Namespace, out) -> int:
     from ..gen import replay_line
 
     directory = Path(args.checkpoint)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-
-    def progress(line: str) -> None:
-        if not args.quiet:
-            out.write(line + "\n")
-
     campaign = _fuzz_campaign(args)
     states = []
     if args.merge:
@@ -609,8 +600,7 @@ def _cmd_fuzz_soak(args: argparse.Namespace, out) -> int:
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             raise SystemExit(f"repro: cannot load shard checkpoint: {exc}")
     else:
-        runner = Runner(jobs=args.jobs, cache=cache, progress=progress,
-                    executor=args.executor, unit_timeout=args.unit_timeout)
+        runner = _campaign_runner(args, out)
         indices = (
             [args.shard_index]
             if args.shard_index is not None
@@ -705,12 +695,6 @@ def _cmd_fuzz(args: argparse.Namespace, out) -> int:
     if args.shard_index is not None or args.shards != 1:
         raise SystemExit("repro: --shards/--shard-index require --soak")
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-
-    def progress(line: str) -> None:
-        if not args.quiet:
-            out.write(line + "\n")
-
     campaign = _fuzz_campaign(args)
     units = None
     if args.replay is not None:
@@ -735,8 +719,7 @@ def _cmd_fuzz(args: argparse.Namespace, out) -> int:
             f"flows {', '.join(campaign.flows)} ===\n"
         )
 
-    runner = Runner(jobs=args.jobs, cache=cache, progress=progress,
-                    executor=args.executor, unit_timeout=args.unit_timeout)
+    runner = _campaign_runner(args, out)
     report = runner.fuzz(campaign, units=units, shrink=not args.no_shrink)
     out.write(report.table() + "\n")
     _print_summary_dict(report.summary(), out)
@@ -818,12 +801,6 @@ def _cmd_faults(args: argparse.Namespace, out) -> int:
     _validate_circuits(args.circuit)
     kinds = _parse_fault_kinds(args.kinds)
     magnitudes = _parse_fault_magnitudes(args.magnitude)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-
-    def progress(line: str) -> None:
-        if not args.quiet:
-            out.write(line + "\n")
-
     campaign = FaultCampaign(
         circuits=tuple(args.circuit or ()),
         kinds=kinds,
@@ -846,9 +823,7 @@ def _cmd_faults(args: argparse.Namespace, out) -> int:
         f"=== faults: {scope} ({len(units)} units, kinds {', '.join(kinds)}, "
         f"{mode}, seed {args.seed}) ===\n"
     )
-    runner = Runner(jobs=args.jobs, cache=cache, progress=progress,
-                    executor=args.executor, unit_timeout=args.unit_timeout)
-    report = runner.faults(campaign, units=units)
+    report = _campaign_runner(args, out).faults(campaign, units=units)
     out.write(render_fault_table(report.records) + "\n")
     _print_summary_dict(report.summary(), out)
     out.write(

@@ -18,7 +18,7 @@ of the ablation and table-sweep wall clock.
 The :class:`SynthesisEngine` is the seam between the experiment
 assemblers in :mod:`repro.eval.experiments` and the scheduler in
 :mod:`repro.eval.runner`: assemblers ask the engine for records, and the
-runner pre-populates the engine's cache from a multiprocessing pool so
+runner pre-populates the engine's cache through :mod:`repro.exec` so
 the assembly step never synthesises anything itself.  A module-level
 default engine lets long-running hosts (the benchmark harness, the CLI)
 install a shared cache once and have every experiment pick it up.
@@ -237,21 +237,6 @@ def synthesis_record(job: SynthesisJob) -> Dict[str, object]:
         record["baseline_jj"] = baseline.jj_count(include_clock_tree=False)
         record["baseline_jj_clocked"] = baseline.jj_count_with_clock_overhead()
     return record
-
-
-def timed_synthesis_record(
-    job: SynthesisJob,
-) -> Tuple[SynthesisJob, Dict[str, object], float]:
-    """Record plus the seconds it took to compute.
-
-    Compatibility shim: the runner now schedules bare
-    :func:`synthesis_record` through :mod:`repro.exec`, which times
-    every unit itself; this wrapper remains for external callers that
-    used it as a pool worker function.
-    """
-    start = time.perf_counter()
-    record = synthesis_record(job)
-    return job, record, time.perf_counter() - start
 
 
 class ResultCache:

@@ -13,8 +13,8 @@ for the corresponding metric records.  The default engine computes
 serially with no disk cache (though it memoises repeated jobs
 in-process; pass ``SynthesisEngine(memoize=False)`` to time every
 synthesis from scratch), while the parallel runner (:mod:`repro.eval.runner`)
-pre-populates a shared content-addressed cache from a worker pool so the
-assembly step here never synthesises anything itself.
+pre-populates a shared content-addressed cache through :mod:`repro.exec` so
+the assembly step here never synthesises anything itself.
 
 The measured numbers are not expected to match the paper's absolute values
 (different benchmark instantiations, different optimiser); the *shape* —

@@ -1,4 +1,4 @@
-"""Parallel experiment orchestration: specs, worker pool, cache, reports.
+"""Parallel experiment orchestration: specs, executors, cache, reports.
 
 This is the operator-facing engine behind the ``repro`` CLI.  Every table
 and figure of the paper's evaluation is registered here as a declarative
@@ -6,8 +6,9 @@ and figure of the paper's evaluation is registered here as a declarative
 from :mod:`repro.eval.experiments`, and an enumerator of the
 :class:`~repro.eval.engine.SynthesisJob` units the assembler will need.
 
-The :class:`Runner` schedules those jobs across a ``multiprocessing``
-worker pool, memoises every record in a content-addressed
+The :class:`Runner` schedules those jobs through the shared
+:mod:`repro.exec` lifecycle (in-process, or across supervised worker
+processes), memoises every record in a content-addressed
 :class:`~repro.eval.engine.ResultCache`, then hands the pre-populated
 cache to the assembler — so a warm cache reproduces any table with zero
 re-synthesis, and a cold run is limited by the slowest single circuit
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import experiments
-from ..exec import ExecEvent, render_event, run_units, spec_units
+from ..exec import ExecEvent, executor_name, render_event, run_units, spec_units
 from ..gen.fuzz import FuzzCampaign, FuzzReport, FuzzUnit, shrink_unit
 from ..schema import atomic_write_json, canonical_json
 from ..verify.campaign import (
@@ -173,7 +174,7 @@ class RunReport:
         result: The assembled experiment result.
         scale: Circuit scale used.
         effort: AIG effort used.
-        jobs: Worker-pool width.
+        jobs: Worker processes requested (``-j``).
         total_jobs: Synthesis jobs the experiment needed.
         computed_jobs: Jobs actually synthesised this run (cache misses).
         cached_jobs: Jobs served from the result cache.
@@ -289,17 +290,18 @@ class Runner:
     ``progress`` callback.
 
     Args:
-        jobs: Worker processes; 1 runs everything in-process (for the
-            default ``pool`` backend).
-        cache: Shared result cache (a fresh default-directory cache when
-            omitted; pass ``cache=None`` explicitly via ``use_cache=False``
-            on the CLI to disable persistence).
+        jobs: Worker processes; more than one selects the ``workers``
+            backend when ``executor`` is not named.
+        cache: Shared result cache; ``None`` (the default) disables
+            caching, so every unit is computed.
         progress: Callback receiving one line per scheduling event.
-        executor: Backend name — ``"serial"``, ``"pool"`` (historical
-            semantics, the default) or ``"workers"`` (supervised
-            long-lived workers with crash isolation and timeouts).
+        executor: Backend name — ``"serial"`` (in-process) or
+            ``"workers"`` (supervised long-lived workers with crash
+            isolation and timeouts).  ``None`` picks ``serial`` for one
+            job without a unit timeout and ``workers`` otherwise.
         unit_timeout: Per-unit wall-clock budget in seconds, enforced by
-            the ``workers`` backend (ignored by the others).
+            the ``workers`` backend; combining it with ``"serial"``
+            raises ``ValueError``.
     """
 
     def __init__(
@@ -307,13 +309,13 @@ class Runner:
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
         progress: Optional[ProgressFn] = None,
-        executor: str = "pool",
+        executor: Optional[str] = None,
         unit_timeout: Optional[float] = None,
     ) -> None:
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.progress = progress or (lambda line: None)
-        self.executor = executor
+        self.executor = executor_name(executor, self.jobs, unit_timeout)
         self.unit_timeout = unit_timeout
 
     def emit(self, event: ExecEvent) -> None:
@@ -380,8 +382,8 @@ class Runner:
         Thin adapter over :func:`repro.exec.run_units`: specs become
         :class:`~repro.exec.SpecUnit`\\ s around the module-level
         ``compute`` function, and the shared lifecycle handles dedupe,
-        cache replay, executor fan-out and cache writes.  A unit whose
-        worker raises (or crashes, on the ``workers`` backend) resolves
+        cache replay, executor fan-out and cache writes.  A unit that
+        raises (or whose worker crashes or times out) resolves
         to a ``status: "error"`` record instead of aborting the
         campaign; error records are never cached, so a rerun recomputes
         exactly the failed units.
@@ -401,12 +403,12 @@ class Runner:
         return outcome.records, outcome.computed, outcome.cached
 
     def verify(self, specs: Sequence[VerificationSpec]) -> VerificationReport:
-        """Run a verification campaign over the worker pool.
+        """Run a verification campaign on the executor.
 
         Mirrors :meth:`run` for :class:`~repro.verify.campaign.VerificationSpec`
         units: specs whose content-addressed key is already in the shared
         result cache are replayed for free, the rest are computed on the
-        pool (synthesis + batched pulse verification per spec) and cached.
+        executor (synthesis + batched pulse verification per spec) and cached.
         Records come back in spec order.
         """
         started = time.perf_counter()
@@ -435,14 +437,14 @@ class Runner:
         units: Optional[Sequence[FuzzUnit]] = None,
         shrink: bool = True,
     ) -> FuzzReport:
-        """Run a differential fuzzing campaign over the worker pool.
+        """Run a differential fuzzing campaign on the executor.
 
         Every :class:`~repro.gen.fuzz.FuzzUnit` — one generated circuit
         under one flow variant — is a
         :class:`~repro.verify.campaign.VerificationSpec`, so scheduling,
-        caching and worker-process execution are exactly the ``verify``
-        path: cached verdicts replay for free, the rest fan out across
-        the pool.  Generated circuits are rebuilt in workers from their
+        caching and execution are exactly the ``verify`` path: cached
+        verdicts replay for free, the rest run on the executor.
+        Generated circuits are rebuilt in workers from their
         self-describing names (no registry state is shipped).  Failing
         units are then shrunk **in-process** to 1-minimal reproducers
         (``shrink=False`` skips that, e.g. for pure triage runs).
@@ -505,14 +507,14 @@ class Runner:
         return report
 
     def faults(self, campaign, units=None):
-        """Run a fault-injection / robustness campaign over the worker pool.
+        """Run a fault-injection / robustness campaign on the executor.
 
         Every :class:`~repro.faults.FaultUnit` — one circuit under one
         flow variant with one fault scenario (optionally margin-swept) —
         rides the same scheduler as ``verify`` and ``fuzz``: records
         whose content-addressed key is already cached replay for free,
-        the rest fan out across the pool via
-        :func:`repro.faults.campaign.timed_fault_record` and are cached.
+        the rest run :func:`repro.faults.campaign.fault_record` on the
+        executor and are cached.
 
         Args:
             campaign: A :class:`repro.faults.FaultCampaign`.
@@ -627,13 +629,14 @@ def run_experiment(
     use_cache: bool = True,
     circuits: Optional[Sequence[str]] = None,
     progress: Optional[ProgressFn] = None,
-    executor: str = "pool",
+    executor: Optional[str] = None,
     unit_timeout: Optional[float] = None,
 ) -> RunReport:
     """One-call convenience wrapper around :class:`Runner`.
 
-    ``repro.run_experiment("table4", jobs=4)`` reproduces Table 4 on a
-    4-process pool, reusing (and growing) the on-disk result cache.
+    ``repro.run_experiment("table4", jobs=4)`` reproduces Table 4 on
+    four supervised worker processes, reusing (and growing) the on-disk
+    result cache.
     """
     cache = ResultCache(cache_dir) if use_cache else None
     runner = Runner(

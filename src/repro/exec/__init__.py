@@ -1,8 +1,8 @@
 """repro.exec — unified execution core for every campaign path.
 
 One :class:`WorkUnit` lifecycle (dedupe → cache replay → execute →
-schema-validate → cache put) over three pluggable executor backends
-(serial, throwaway pool, supervised persistent workers), emitting
+schema-validate → cache put) over two executor backends (in-process
+serial, supervised persistent workers), emitting
 structured :class:`ExecEvent`\\ s instead of per-campaign progress
 f-strings.  ``Runner.run`` / ``verify`` / ``fuzz`` / ``faults`` /
 ``soak`` and the perf harness are thin compositions over this package;
@@ -13,12 +13,17 @@ from .events import EmitFn, ExecEvent, render_event
 from .executors import (
     Executor,
     PersistentWorkerExecutor,
-    PoolExecutor,
     SerialExecutor,
     UnitResult,
     execute_unit,
 )
-from .lifecycle import EXECUTOR_NAMES, ExecOutcome, resolve_executor, run_units
+from .lifecycle import (
+    EXECUTOR_NAMES,
+    ExecOutcome,
+    executor_name,
+    resolve_executor,
+    run_units,
+)
 from .units import CallableUnit, ProbeUnit, SpecUnit, WorkUnit, spec_units
 
 __all__ = [
@@ -32,12 +37,12 @@ __all__ = [
     "spec_units",
     "Executor",
     "SerialExecutor",
-    "PoolExecutor",
     "PersistentWorkerExecutor",
     "UnitResult",
     "execute_unit",
     "ExecOutcome",
     "EXECUTOR_NAMES",
+    "executor_name",
     "resolve_executor",
     "run_units",
 ]

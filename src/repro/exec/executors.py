@@ -1,6 +1,6 @@
-"""Executor backends: serial, throwaway pool, persistent workers.
+"""Executor backends: in-process serial, supervised persistent workers.
 
-All three backends share one contract — ``map(units)`` yields a
+Both backends share one contract — ``map(units)`` yields a
 :class:`UnitResult` per unit **in submission order**, and ``close()``
 (or leaving the ``with`` block, on *any* exit path including
 ``KeyboardInterrupt``) terminates and joins every worker process.
@@ -15,12 +15,6 @@ Backends:
     In-process loop.  The only backend that accepts unpicklable units
     (perf-harness closures); exceptions are still captured as error
     results for lifecycle uniformity.
-
-:class:`PoolExecutor`
-    ``multiprocessing.Pool`` + ``imap``, matching the historical
-    campaign scheduling byte for byte — except that worker exceptions
-    now come back as error results instead of propagating out of
-    ``imap`` and discarding all in-flight progress.
 
 :class:`PersistentWorkerExecutor`
     Long-lived worker processes with per-unit timeouts and crash
@@ -49,7 +43,6 @@ __all__ = [
     "UnitResult",
     "Executor",
     "SerialExecutor",
-    "PoolExecutor",
     "PersistentWorkerExecutor",
     "execute_unit",
 ]
@@ -92,7 +85,7 @@ def execute_unit(
     """Run one unit, capturing any exception as structured error info.
 
     This is the single execution wrapper every backend funnels through
-    (in-process for serial, inside the worker for pool/persistent), so
+    (in-process for serial, inside the worker process for workers), so
     timing and error capture are identical everywhere.
     """
     start = time.perf_counter()
@@ -110,20 +103,6 @@ def execute_unit(
             "traceback": traceback.format_exc(),
         }
     return record, time.perf_counter() - start, time.process_time() - cpu_start, error
-
-
-def _ignore_sigint() -> None:
-    """Worker initializer: leave Ctrl-C handling to the parent process."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _pool_entry(
-    task: Tuple[int, WorkUnit],
-) -> Tuple[int, Optional[Dict[str, object]], float, float, Optional[Dict[str, str]]]:
-    """Pool worker entry: execute and ship the outcome, never raise."""
-    index, unit = task
-    record, seconds, cpu_s, error = execute_unit(unit)
-    return index, record, seconds, cpu_s, error
 
 
 class Executor:
@@ -167,55 +146,17 @@ class SerialExecutor(Executor):
             )
 
 
-class PoolExecutor(Executor):
-    """Throwaway ``multiprocessing.Pool`` per ``map`` — today's semantics.
-
-    The pool is created when ``map`` first needs it (sized
-    ``min(jobs, len(units))``) and torn down by ``close``; workers
-    ignore ``SIGINT`` so a Ctrl-C interrupts the parent's ``imap`` wait
-    and cleanup runs deterministically from the ``with`` block.
-    """
-
-    def __init__(self, jobs: int) -> None:
-        self.jobs = max(1, int(jobs))
-        self._pool: Optional[multiprocessing.pool.Pool] = None
-
-    def map(self, units: Sequence[WorkUnit]) -> Iterator[UnitResult]:
-        if not units:
-            return
-        processes = min(self.jobs, len(units))
-        self._pool = multiprocessing.Pool(
-            processes=processes, initializer=_ignore_sigint
-        )
-        tasks = list(enumerate(units))
-        for index, record, seconds, cpu_s, error in self._pool.imap(
-            _pool_entry, tasks
-        ):
-            yield UnitResult(
-                index=index,
-                unit=units[index],
-                record=record,
-                seconds=seconds,
-                cpu_s=cpu_s,
-                error=error,
-            )
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-
 def _worker_main(tasks: "multiprocessing.Queue", results: "multiprocessing.Queue") -> None:
     """Persistent worker loop: pull tasks until the ``None`` sentinel."""
-    _ignore_sigint()
+    # Ctrl-C is the parent's to handle: it closes the executor, which
+    # terminates this process.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         task = tasks.get()
         if task is None:
             return
         index, unit = task
-        results.put((os.getpid(), _pool_entry((index, unit))))
+        results.put((os.getpid(), (index, *execute_unit(unit))))
 
 
 @dataclass

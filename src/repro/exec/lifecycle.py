@@ -29,19 +29,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from .events import EmitFn, ExecEvent
-from .executors import (
-    Executor,
-    PersistentWorkerExecutor,
-    PoolExecutor,
-    SerialExecutor,
-    UnitResult,
-)
+from .executors import Executor, PersistentWorkerExecutor, SerialExecutor, UnitResult
 from .units import WorkUnit
 
-__all__ = ["ExecOutcome", "EXECUTOR_NAMES", "resolve_executor", "run_units"]
+__all__ = [
+    "ExecOutcome",
+    "EXECUTOR_NAMES",
+    "executor_name",
+    "resolve_executor",
+    "run_units",
+]
 
 #: Valid ``--executor`` choices, in CLI order.
-EXECUTOR_NAMES = ("serial", "pool", "workers")
+EXECUTOR_NAMES = ("serial", "workers")
 
 
 @dataclass
@@ -65,32 +65,47 @@ class ExecOutcome:
     errors: List[Dict[str, object]] = field(default_factory=list)
 
 
+def executor_name(
+    executor: Optional[str], jobs: int, unit_timeout: Optional[float] = None
+) -> str:
+    """The backend a campaign runs on, validated against its settings.
+
+    ``None`` picks the default from the inputs: ``"serial"`` for one job
+    with no unit timeout, ``"workers"`` otherwise — a timeout is only
+    enforceable by a supervisor, so asking for one selects it.  Naming
+    ``"serial"`` together with a timeout is an error rather than a
+    silently dropped deadline.
+    """
+    if executor is None:
+        return "serial" if jobs == 1 and unit_timeout is None else "workers"
+    if executor not in EXECUTOR_NAMES:
+        raise ValueError(
+            f"unknown executor {executor!r}; choose from {', '.join(EXECUTOR_NAMES)}"
+        )
+    if executor == "serial" and unit_timeout is not None:
+        raise ValueError(
+            "the serial executor cannot enforce a unit timeout; "
+            "use the workers executor"
+        )
+    return executor
+
+
 def resolve_executor(
-    executor: str,
+    executor: Optional[str],
     jobs: int,
     pending: int,
     unit_timeout: Optional[float] = None,
 ) -> Executor:
-    """Pick the backend for a batch of ``pending`` units.
+    """Build the backend for a batch of ``pending`` units.
 
-    ``"pool"`` preserves the historical shape exactly: a single job (or
-    a single pending unit) runs in-process, anything else fans out on a
-    throwaway pool.  ``"serial"`` always stays in-process.
     ``"workers"`` always supervises, even for one unit — that is the
-    point of choosing it (timeouts and crash isolation apply).
+    point of choosing it (timeouts and crash isolation apply).  See
+    :func:`executor_name` for the ``None`` default.
     """
-    if executor == "serial":
+    if executor_name(executor, jobs, unit_timeout) == "serial":
         return SerialExecutor()
-    if executor == "pool":
-        if jobs == 1 or pending <= 1:
-            return SerialExecutor()
-        return PoolExecutor(jobs)
-    if executor == "workers":
-        return PersistentWorkerExecutor(
-            min(max(1, jobs), max(1, pending)), timeout=unit_timeout
-        )
-    raise ValueError(
-        f"unknown executor {executor!r}; choose from {', '.join(EXECUTOR_NAMES)}"
+    return PersistentWorkerExecutor(
+        min(max(1, jobs), max(1, pending)), timeout=unit_timeout
     )
 
 
@@ -110,7 +125,7 @@ def _error_record(result: UnitResult) -> Dict[str, object]:
 def run_units(
     units: Sequence[WorkUnit],
     cache=None,
-    executor: Union[str, Executor] = "pool",
+    executor: Union[str, Executor, None] = None,
     jobs: int = 1,
     emit: Optional[EmitFn] = None,
     verb: str = "verified",
@@ -123,11 +138,12 @@ def run_units(
         units: Work units in campaign order (duplicates by key are
             executed once; every occurrence resolves to the one record).
         cache: Optional :class:`~repro.eval.engine.ResultCache`.
-        executor: Backend name (``serial``/``pool``/``workers``) or a
-            ready :class:`Executor` instance.  Named backends are
-            created per call and closed on every exit path; an instance
-            is used as-is and left open for its owner.
-        jobs: Worker width for named parallel backends.
+        executor: Backend name (``serial``/``workers``), ``None`` for
+            the default of :func:`executor_name`, or a ready
+            :class:`Executor` instance.  Named backends are created per
+            call and closed on every exit path; an instance is used
+            as-is and left open for its owner.
+        jobs: Worker width for the ``workers`` backend.
         emit: Structured-event sink (``None`` drops events).
         verb: Past-tense verb for per-unit ``computed`` events.
         noun: Job noun for the batch ``schedule`` event

@@ -12,9 +12,9 @@ from it:
   records are packed under ("record", "verify", "fault").
 * ``describe()`` — the human-oriented label progress events carry.
 * ``run()`` — compute the record.  Units must be **picklable** so the
-  pool and persistent-worker backends can ship them to worker
-  processes; :class:`SpecUnit` achieves this by holding a module-level
-  compute function (pickled by qualified name) next to a frozen spec.
+  persistent-worker backend can ship them to worker processes;
+  :class:`SpecUnit` achieves this by holding a module-level compute
+  function (pickled by qualified name) next to a frozen spec.
 
 :class:`SpecUnit` adapts every existing spec family
 (:class:`~repro.eval.engine.SynthesisJob`,
@@ -66,7 +66,7 @@ class SpecUnit:
             (``SynthesisJob``, ``VerificationSpec``, ``FaultSpec``).
         compute: **Module-level** function ``spec -> record``; pickled by
             qualified name, so lambdas and closures are rejected by the
-            pool/worker backends exactly as they would be today.
+            ``workers`` backend.
         description: Pre-rendered progress label (campaign paths decorate
             specs with flow-variant context the spec itself lacks).
     """

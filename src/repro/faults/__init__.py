@@ -38,7 +38,6 @@ from .campaign import (
     fault_record,
     load_fault_report,
     render_fault_table,
-    timed_fault_record,
 )
 from .margin import MARGIN_ITERATIONS, MarginResult, search_margin
 from .models import DUP_SPACING, FaultModel, stream_seed
@@ -80,5 +79,4 @@ __all__ = [
     "render_fault_table",
     "search_margin",
     "stream_seed",
-    "timed_fault_record",
 ]

@@ -32,7 +32,6 @@ reports, which is an acceptance criterion pinned by ``tests/faults``.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -61,7 +60,6 @@ __all__ = [
     "fault_record",
     "load_fault_report",
     "render_fault_table",
-    "timed_fault_record",
 ]
 
 #: Schema tag of the ``repro faults --report`` JSON document (the
@@ -283,21 +281,6 @@ def fault_record(spec: FaultSpec) -> Dict[str, object]:
     return record
 
 
-def timed_fault_record(
-    spec: FaultSpec,
-) -> Tuple[FaultSpec, Dict[str, object], float]:
-    """Record plus the seconds it took to compute.
-
-    Compatibility shim: the runner now schedules bare
-    :func:`fault_record` through :mod:`repro.exec`, which times every
-    unit itself; this wrapper remains for external callers that used it
-    as a pool worker function.
-    """
-    started = time.perf_counter()
-    record = fault_record(spec)
-    return spec, record, time.perf_counter() - started
-
-
 @dataclass(frozen=True)
 class FaultUnit:
     """One schedulable ``(circuit, flow variant, scenario)`` triple."""
@@ -418,7 +401,7 @@ class FaultReport:
     Attributes:
         campaign: The campaign identity that was run.
         records: One annotated record per unit, in unit order.
-        jobs: Worker-pool width.
+        jobs: Worker processes requested (``-j``).
         computed: Units computed this run (cache misses).
         cached: Units replayed from the result cache.
         elapsed_s: Wall clock for the whole campaign.  Deliberately

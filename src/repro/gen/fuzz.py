@@ -214,7 +214,7 @@ class FuzzReport:
             unit, in unit order.
         shrunk: Bench text of each minimised reproducer, keyed by
             ``"<circuit>|<flow>"``, plus the shrink statistics.
-        jobs: Worker-pool width.
+        jobs: Worker processes requested (``-j``).
         computed: Units verified this run (cache misses).
         cached: Units replayed from the result cache.
         elapsed_s: Wall clock for the whole campaign.

@@ -11,7 +11,7 @@ The subsystem answers that question at three granularities:
   :mod:`repro.verify.flowstage`) — any composed
   :class:`~repro.core.flowgraph.Flow` can end in a verdict;
 * :class:`VerificationSpec` **campaigns** — declarative, cacheable,
-  picklable units scheduled across a ``multiprocessing`` pool by
+  picklable units scheduled through :mod:`repro.exec` by
   :meth:`repro.eval.runner.Runner.verify` and surfaced as
   ``repro verify [--catalog|--circuit NAME]`` on the CLI.
 
@@ -31,7 +31,6 @@ from .campaign import (
     VerificationSpec,
     catalog_specs,
     render_verification_table,
-    timed_verification_record,
     verification_record,
 )
 from . import flowstage  # noqa: F401  - registers the 'verify' stage
@@ -47,6 +46,5 @@ __all__ = [
     "VerificationSpec",
     "catalog_specs",
     "render_verification_table",
-    "timed_verification_record",
     "verification_record",
 ]

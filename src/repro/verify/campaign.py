@@ -36,7 +36,6 @@ __all__ = [
     "VerificationSpec",
     "catalog_specs",
     "render_verification_table",
-    "timed_verification_record",
     "verification_record",
 ]
 
@@ -202,21 +201,6 @@ def _cell_counts(result) -> Dict[str, int]:
     return dict(sorted(counts.items()))
 
 
-def timed_verification_record(
-    spec: VerificationSpec,
-) -> Tuple[VerificationSpec, Dict[str, object], float]:
-    """Record plus the seconds it took to compute.
-
-    Compatibility shim: the runner now schedules bare
-    :func:`verification_record` through :mod:`repro.exec`, which times
-    every unit itself; this wrapper remains for external callers that
-    used it as a pool worker function.
-    """
-    started = time.perf_counter()
-    record = verification_record(spec)
-    return spec, record, time.perf_counter() - started
-
-
 @dataclass
 class VerificationReport:
     """Everything one campaign produced (mirrors ``RunReport`` for verify).
@@ -226,7 +210,7 @@ class VerificationReport:
         scale: Circuit scale used.
         patterns: Requested pattern budget.
         seed: Stimulus seed.
-        jobs: Worker-pool width.
+        jobs: Worker processes requested (``-j``).
         computed: Specs verified this run (cache misses).
         cached: Specs replayed from the result cache.
         elapsed_s: Wall clock for the whole campaign.

@@ -61,3 +61,9 @@ class PoisonUnit:
             "scale": "quick",
             "flow": [],
         }
+
+
+def sleep_record(spec):
+    """Module-level ``spec -> record`` compute that never finishes in time."""
+    time.sleep(30.0)
+    return {"status": "ok"}

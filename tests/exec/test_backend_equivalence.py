@@ -1,7 +1,7 @@
-"""Executor equivalence: serial == pool == workers for every campaign.
+"""Executor equivalence: serial == workers for every campaign.
 
 The acceptance contract of the execution-layer refactor: at the same
-seeds, every backend produces the same campaign report byte-for-byte
+seeds, both backends produce the same campaign report byte-for-byte
 once the explicitly volatile wall-clock fields (``elapsed_s`` on the
 report, ``synth_seconds``/``seconds`` inside records) are stripped.
 Fault reports and soak checkpoints are deterministic by construction,
@@ -18,7 +18,7 @@ from repro.faults.campaign import FaultCampaign
 from repro.gen import FuzzCampaign
 from repro.verify import VerificationSpec
 
-EXECUTORS = ("serial", "pool", "workers")
+EXECUTORS = ("serial", "workers")
 
 VOLATILE_RECORD_FIELDS = ("seconds", "synth_seconds")
 
@@ -81,7 +81,7 @@ def test_fault_reports_are_byte_identical_across_backends():
     _pairs(rendered)
 
 
-@pytest.mark.parametrize("executor", ["pool", "workers"])
+@pytest.mark.parametrize("executor", ["workers"])
 def test_soak_checkpoints_match_serial_byte_for_byte(executor, tmp_path):
     campaign = SoakCampaign(
         fuzz=FuzzCampaign(budget=6, seed=0, patterns=8, sequence_length=4),

@@ -13,7 +13,6 @@ from exec_fixtures import PoisonUnit
 from repro.exec import (
     ExecEvent,
     PersistentWorkerExecutor,
-    PoolExecutor,
     ProbeUnit,
     SerialExecutor,
 )
@@ -36,33 +35,28 @@ def _records(executor, units):
 def test_all_backends_produce_identical_records_in_order():
     units = [ProbeUnit(index=i, spin=100) for i in range(8)]
     serial = _records(SerialExecutor(), units)
-    pool = _records(PoolExecutor(jobs=3), units)
     workers = _records(PersistentWorkerExecutor(jobs=3), units)
-    assert serial == pool == workers
+    assert serial == workers
     assert [r["index"] for r in serial] == list(range(8))
 
 
 def test_backends_yield_results_in_submission_order():
-    # Give later units less work so they finish first on parallel
-    # backends; results must still come back in submission order.
+    # Give later units less work so they finish first on the worker
+    # backend; results must still come back in submission order.
     units = [PoisonUnit(index=0, mode="sleep", sleep_s=0.3)] + [
         ProbeUnit(index=i) for i in range(1, 5)
     ]
-    for executor in (PoolExecutor(jobs=4), PersistentWorkerExecutor(jobs=4)):
-        assert [r.index for r in _results(executor, units)] == list(range(5))
+    results = _results(PersistentWorkerExecutor(jobs=4), units)
+    assert [r.index for r in results] == list(range(5))
 
 
 def test_empty_unit_list_is_a_no_op():
-    for executor in (
-        SerialExecutor(),
-        PoolExecutor(jobs=2),
-        PersistentWorkerExecutor(jobs=2),
-    ):
+    for executor in (SerialExecutor(), PersistentWorkerExecutor(jobs=2)):
         assert _results(executor, []) == []
 
 
 # ---------------------------------------------------------------------------
-# Exception containment (the pool.imap abort bug)
+# Exception containment
 # ---------------------------------------------------------------------------
 
 
@@ -74,15 +68,18 @@ def test_serial_captures_exceptions_as_error_results():
     assert "Traceback" in results[0].error["traceback"]
 
 
-def test_pool_worker_exception_does_not_abort_the_batch():
+def test_worker_exception_does_not_abort_the_batch():
     units = [
         PoisonUnit(index=0),
         PoisonUnit(index=1, mode="raise"),
         PoisonUnit(index=2),
     ]
-    results = _results(PoolExecutor(jobs=2), units)
+    results = _results(PersistentWorkerExecutor(jobs=2), units)
     assert [r.ok for r in results] == [True, False, True]
+    # The exception is captured inside the worker: no crash, no retry.
     assert results[1].error["type"] == "RuntimeError"
+    assert "poisoned unit 1" in results[1].error["message"]
+    assert results[1].attempts == 1
     assert results[0].record["status"] == "ok"
     assert results[2].record["status"] == "ok"
 
@@ -189,11 +186,11 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-@pytest.mark.parametrize("backend", ["pool", "workers"])
+@pytest.mark.parametrize("backend", ["workers"])
 def test_sigint_mid_campaign_leaves_no_worker_processes(backend, tmp_path):
     """Signal injection: Ctrl-C mid-campaign must not orphan workers.
 
-    A child interpreter starts a slow campaign on the chosen backend,
+    A child interpreter starts a slow campaign on the named backend,
     reports its worker PIDs, and gets SIGINT mid-flight; every worker
     PID must be gone afterwards.
     """
@@ -202,13 +199,9 @@ def test_sigint_mid_campaign_leaves_no_worker_processes(backend, tmp_path):
         import json, multiprocessing, sys, threading, time
         sys.path.insert(0, {fixture_dir!r})
         from exec_fixtures import PoisonUnit
-        from repro.exec import PoolExecutor, PersistentWorkerExecutor
+        from repro.exec import resolve_executor
 
-        backend = {backend!r}
-        if backend == "pool":
-            executor = PoolExecutor(jobs=2)
-        else:
-            executor = PersistentWorkerExecutor(jobs=2)
+        executor = resolve_executor({backend!r}, jobs=2, pending=4)
         units = [PoisonUnit(index=i, mode="sleep", sleep_s=30.0) for i in range(4)]
 
         def report_pids():

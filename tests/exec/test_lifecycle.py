@@ -1,11 +1,15 @@
 """The shared lifecycle: dedupe, cache replay, error containment, healing."""
 
+import time
+
 import pytest
 
-from exec_fixtures import PoisonUnit
+from exec_fixtures import PoisonUnit, sleep_record
+from repro.eval import Runner
 from repro.eval.engine import ResultCache
 from repro.exec import ProbeUnit, SerialExecutor, resolve_executor, run_units
-from repro.exec.executors import PersistentWorkerExecutor, PoolExecutor
+from repro.exec.executors import PersistentWorkerExecutor
+from repro.verify import VerificationSpec
 
 
 def test_duplicate_keys_execute_once():
@@ -103,12 +107,24 @@ def test_an_executor_instance_is_used_but_not_closed():
     assert closed == []
 
 
-def test_resolve_executor_preserves_the_historical_pool_shape():
+def test_default_executor_is_serial_for_one_job_without_a_timeout():
+    assert isinstance(resolve_executor(None, 1, 10), SerialExecutor)
+
+
+def test_default_executor_supervises_parallel_jobs():
+    workers = resolve_executor(None, 4, 10)
+    assert isinstance(workers, PersistentWorkerExecutor)
+    assert workers.jobs == 4 and workers.timeout is None
+
+
+def test_default_executor_supervises_a_unit_timeout_at_one_job():
+    workers = resolve_executor(None, 1, 10, unit_timeout=5)
+    assert isinstance(workers, PersistentWorkerExecutor)
+    assert workers.jobs == 1 and workers.timeout == 5
+
+
+def test_resolve_executor_honours_a_named_backend():
     assert isinstance(resolve_executor("serial", 4, 10), SerialExecutor)
-    # jobs == 1 and single-unit batches stay in-process under "pool".
-    assert isinstance(resolve_executor("pool", 1, 10), SerialExecutor)
-    assert isinstance(resolve_executor("pool", 4, 1), SerialExecutor)
-    assert isinstance(resolve_executor("pool", 4, 10), PoolExecutor)
     workers = resolve_executor("workers", 8, 3, unit_timeout=2.0)
     assert isinstance(workers, PersistentWorkerExecutor)
     assert workers.jobs == 3 and workers.timeout == 2.0
@@ -116,11 +132,33 @@ def test_resolve_executor_preserves_the_historical_pool_shape():
         resolve_executor("threads", 2, 5)
 
 
+def test_serial_executor_refuses_a_unit_timeout():
+    with pytest.raises(ValueError, match="cannot enforce a unit timeout"):
+        resolve_executor("serial", 1, 10, unit_timeout=5)
+    with pytest.raises(ValueError, match="cannot enforce a unit timeout"):
+        Runner(executor="serial", unit_timeout=5)
+
+
+def test_runner_enforces_the_unit_timeout_at_one_job():
+    runner = Runner(jobs=1, cache=None, unit_timeout=0.5)
+    assert runner.executor == "workers"
+    spec = VerificationSpec(circuit="ctrl", patterns=8)
+    started = time.monotonic()
+    records, computed, cached = runner._run_verification_specs(
+        [spec], lambda spec: spec.label(), compute=sleep_record
+    )
+    assert time.monotonic() - started < 10.0
+    record = records[spec.key()]
+    assert record["status"] == "error"
+    assert record["error"]["type"] == "Timeout"
+    assert (computed, cached) == (1, 0)
+
+
 def test_schedule_event_only_for_parallel_batches():
     events = []
     run_units(
         [ProbeUnit(index=i) for i in range(3)],
-        executor="pool",
+        executor=None,
         jobs=2,
         emit=events.append,
         noun="verification",
@@ -132,7 +170,7 @@ def test_schedule_event_only_for_parallel_batches():
     events.clear()
     run_units(
         [ProbeUnit(index=i) for i in range(3)],
-        executor="pool",
+        executor=None,
         jobs=1,
         emit=events.append,
     )

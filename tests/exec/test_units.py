@@ -31,7 +31,7 @@ def test_spec_unit_kinds_cover_every_spec_family():
 
 def test_spec_unit_pickle_round_trip():
     # Module-level compute functions pickle by qualified name — this is
-    # what lets pool/worker backends ship units to worker processes.
+    # what lets the workers backend ship units to worker processes.
     unit = SpecUnit(
         spec=VerificationSpec(circuit="s27", patterns=8),
         compute=verification_record,
