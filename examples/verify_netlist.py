@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import repro  # noqa: E402
 from repro.core.cells import CellKind  # noqa: E402
 from repro.sim.pulse import elaboration_count  # noqa: E402
-from repro.verify import catalog_specs, render_verification_table  # noqa: E402
+from repro.verify import catalog_specs  # noqa: E402
 
 
 def main() -> None:
@@ -74,7 +74,7 @@ def main() -> None:
     print("=== 4. Campaign over several circuits (the `repro verify` engine) ===")
     specs = catalog_specs(circuits=["ctrl", "int2float", "s27"], patterns=64, seed=0)
     report = repro.Runner(jobs=2, cache=None).verify(specs)
-    print(render_verification_table(report.records))
+    print(report.table())
     print(f"all equivalent    : {report.all_equivalent} "
           f"({report.total_patterns()} patterns in {report.elapsed_s:.2f}s)")
 

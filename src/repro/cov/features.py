@@ -55,6 +55,7 @@ __all__ = [
     "count_bucket",
     "fault_features",
     "feature_universe",
+    "fold_units",
     "generation_features",
     "load_corpus_specs",
     "region_features",
@@ -339,6 +340,23 @@ def unit_features(
     return generation_features(
         spec, network=network, corpus=corpus
     ) + run_side_features(flow_name, record)
+
+
+def fold_units(coverage, units, records, corpus=None, memo=None) -> int:
+    """Add finished fuzz units (with their records) to ``coverage``.
+
+    ``memo`` caches each circuit's generation features across calls.
+    Returns how many features were new to ``coverage``.
+    """
+    memo = {} if memo is None else memo
+    fresh = 0
+    for unit, record in zip(units, records):
+        name = unit.spec.circuit
+        if name not in memo:
+            memo[name] = generation_features(unit.gen, corpus=corpus)
+        features = memo[name] + run_side_features(unit.flow_name, record)
+        fresh += len(coverage.add(features, unit_digest(name, unit.flow_name)))
+    return fresh
 
 
 # ---------------------------------------------------------------------------

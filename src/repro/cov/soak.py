@@ -37,9 +37,10 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exec import ExecEvent
+from ..exec.status import RecordTally
 from ..gen.fuzz import FuzzCampaign, FuzzUnit
 from ..schema import atomic_write_json, canonical_json, load_document, pack, schema_tag
-from .features import generation_features, load_corpus_specs, run_side_features, unit_digest
+from .features import fold_units, load_corpus_specs
 from .map import CoverageMap
 
 __all__ = [
@@ -114,8 +115,9 @@ class SoakCampaign:
 
 
 @dataclass
-class SoakState:
-    """Everything one shard has durably accumulated.
+class SoakState(RecordTally):
+    """Everything one shard has durably accumulated (status views per
+    :mod:`repro.exec.status`).
 
     Attributes:
         campaign: The producing :meth:`SoakCampaign.identity` dict.
@@ -139,10 +141,6 @@ class SoakState:
     @property
     def complete(self) -> bool:
         return self.units_done >= self.units_total
-
-    @property
-    def failures(self) -> List[Dict[str, object]]:
-        return [r for r in self.records if r.get("status") == "counterexample"]
 
     def new_features_total(self) -> int:
         return sum(int(b.get("new_features", 0)) for b in self.batches)
@@ -317,20 +315,16 @@ def run_soak(
         report = runner.fuzz(
             campaign.fuzz, units=[unit for _, unit in chunk], shrink=False
         )
-        new_count = 0
-        for (global_index, unit), record in zip(chunk, report.records):
-            name = unit.spec.circuit
-            base = spec_features.get(name)
-            if base is None:
-                base = spec_features[name] = generation_features(
-                    unit.gen, corpus=corpus
-                )
-            features = base + run_side_features(unit.flow_name, record)
-            fresh = state.coverage.add(
-                features, unit_digest(name, unit.flow_name)
-            )
-            new_count += len(fresh)
-            state.records.append(_stripped(record, global_index))
+        new_count = fold_units(
+            state.coverage,
+            [unit for _, unit in chunk],
+            report.records,
+            corpus=corpus,
+            memo=spec_features,
+        )
+        state.records += [
+            _stripped(record, index) for (index, _), record in zip(chunk, report.records)
+        ]
         state.batches.append({"units": len(chunk), "new_features": new_count})
         state.units_done += len(chunk)
         write_state(state, path)

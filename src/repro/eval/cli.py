@@ -63,11 +63,12 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from ..exec import EXECUTOR_NAMES, executor_name
+from ..exec.status import error_detail
+from ..schema import atomic_write_json
 from .engine import ResultCache
 from .runner import (
     EXPERIMENTS,
     Runner,
-    RunReport,
     load_report,
     render_report,
     render_stage_timings,
@@ -452,7 +453,12 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
             name, scale=args.scale, effort=args.effort, circuits=args.circuits
         )
         out.write(report.result.text + "\n")
-        _write_summary(report, out)
+        _print_summary(report.result.summary, out)
+        out.write(
+            f"timing: {report.elapsed_s:.2f}s wall "
+            f"({report.cached_jobs}/{report.total_jobs} jobs cached, "
+            f"{report.computed_jobs} synthesised, {report.jobs} workers)\n"
+        )
         if args.stage_timing:
             if report.stage_timings:
                 out.write("stage timing:\n")
@@ -481,37 +487,58 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _write_summary(report: RunReport, out) -> None:
-    summary = report.result.summary
-    if summary:
-        out.write("summary:\n")
-        for key in sorted(summary):
-            value = summary[key]
-            rendered = f"{value:.3f}" if isinstance(value, float) else str(value)
-            out.write(f"  {key}: {rendered}\n")
-    out.write(
-        f"timing: {report.elapsed_s:.2f}s wall "
-        f"({report.cached_jobs}/{report.total_jobs} jobs cached, "
-        f"{report.computed_jobs} synthesised, {report.jobs} workers)\n"
-    )
-
-
-def _print_summary_dict(summary, out) -> None:
+def _print_summary(summary, out) -> None:
+    """The ``summary:`` block of every command (floats to 3 decimals)."""
+    if not summary:
+        return
     out.write("summary:\n")
     for key in sorted(summary):
-        out.write(f"  {key}: {summary[key]}\n")
+        value = summary[key]
+        rendered = f"{value:.3f}" if isinstance(value, float) else str(value)
+        out.write(f"  {key}: {rendered}\n")
 
 
-def _save_report_json(data, path: Path, out) -> None:
-    from ..schema import atomic_write_json
+def _unit_name(record) -> str:
+    """A record's unit: circuit, then fault scenario and flow variant if any."""
+    flow = record.get("flow_variant")
+    parts = (record.get("circuit"), record.get("scenario"), flow and f"flow={flow}")
+    return " ".join(str(part) for part in parts if part)
 
-    atomic_write_json(path, data)
-    out.write(f"saved {path}\n")
+
+def _report_failures(tally, failure_lines: Sequence[str], out) -> int:
+    """Print ``failure_lines`` if ``tally`` (a campaign report or soak
+    state) has verdict failures, then one FAILED line per error record;
+    return the exit code of :mod:`repro.exec.status`'s rule."""
+    if tally.failures:
+        for line in failure_lines:
+            out.write(line + "\n")
+    for record in tally.errors:
+        out.write(f"FAILED with error: {_unit_name(record)}: {error_detail(record)}\n")
+    return 0 if tally.passed else 1
+
+
+def _campaign_tail(report, out, noun: str, verb: str, failure_lines, save=None,
+                   extra: str = "") -> int:
+    """The end of ``verify``, ``fuzz`` and ``faults``: table, summary,
+    ``extra``, timing, optional save, then :func:`_report_failures`."""
+    out.write(report.table() + "\n")
+    _print_summary(report.summary(), out)
+    if extra:
+        out.write(extra + "\n")
+    out.write(
+        f"timing: {report.elapsed_s:.2f}s wall "
+        f"({report.cached}/{len(report.records)} {noun} cached, "
+        f"{report.computed} {verb}, {report.jobs} workers)\n"
+    )
+    if save is not None:
+        atomic_write_json(save, report.to_dict())
+        out.write(f"saved {save}\n")
+    return _report_failures(report, failure_lines, out)
 
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
     from ..core import Flow, FlowOptions
-    from ..verify import catalog_specs, render_verification_table
+    from ..verify import catalog_specs
 
     _validate_circuits(args.circuit)
     flow = Flow.from_options(FlowOptions(effort=args.effort))
@@ -529,47 +556,11 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
         f"{args.patterns} patterns, seed {args.seed}) ===\n"
     )
     report = _campaign_runner(args, out).verify(specs)
-    out.write(render_verification_table(report.records) + "\n")
-    _print_summary_dict(report.to_dict()["summary"], out)
-    out.write(
-        f"timing: {report.elapsed_s:.2f}s wall "
-        f"({report.cached}/{len(specs)} verdicts cached, "
-        f"{report.computed} verified, {report.jobs} workers)\n"
+    failed = ", ".join(str(r.get("circuit")) for r in report.failures)
+    return _campaign_tail(
+        report, out, "verdicts", "verified", [f"FAILED equivalence: {failed}"],
+        save=Path(args.save) / f"verify-{args.scale}.json" if args.save else None,
     )
-    if args.save:
-        _save_report_json(
-            report.to_dict(), Path(args.save) / f"verify-{args.scale}.json", out
-        )
-    if not report.all_equivalent:
-        failed = ", ".join(str(r.get("circuit")) for r in report.failures)
-        out.write(f"FAILED equivalence: {failed}\n")
-        return 1
-    return 0
-
-
-def _report_coverage(units, records):
-    """Fold a finished campaign's units x records into a CoverageMap."""
-    from ..cov import CoverageMap
-    from ..cov.features import (
-        generation_features,
-        load_corpus_specs,
-        run_side_features,
-        unit_digest,
-    )
-
-    coverage = CoverageMap()
-    corpus = load_corpus_specs()
-    cache: dict = {}
-    for unit, record in zip(units, records):
-        name = unit.spec.circuit
-        base = cache.get(name)
-        if base is None:
-            base = cache[name] = generation_features(unit.gen, corpus=corpus)
-        coverage.add(
-            base + run_side_features(unit.flow_name, record),
-            unit_digest(name, unit.flow_name),
-        )
-    return coverage
 
 
 def _cmd_fuzz_soak(args: argparse.Namespace, out) -> int:
@@ -641,7 +632,8 @@ def _cmd_fuzz_soak(args: argparse.Namespace, out) -> int:
     out.write(
         f"soak: {view.units_done}/{view.units_total} units done, "
         f"{len(view.coverage)} feature buckets "
-        f"({fresh} new this campaign), {len(view.failures)} failures\n"
+        f"({fresh} new this campaign), {len(view.failures)} failures, "
+        f"{len(view.errors)} errors\n"
     )
     if not complete:
         out.write("note: shard(s) incomplete; resume with the same flags\n")
@@ -659,12 +651,11 @@ def _cmd_fuzz_soak(args: argparse.Namespace, out) -> int:
         report_path.write_text(text + "\n", encoding="utf-8")
         out.write(f"saved {report_path}\n")
 
-    if view.failures:
-        out.write("FAILED equivalence on:\n")
-        for record in view.failures:
-            out.write(f"  {replay_line(record)}\n")
-        return 1
-    return 0
+    return _report_failures(
+        view,
+        ["FAILED equivalence on:"] + [f"  {replay_line(r)}" for r in view.failures],
+        out,
+    )
 
 
 def _fuzz_campaign(args: argparse.Namespace):
@@ -719,46 +710,39 @@ def _cmd_fuzz(args: argparse.Namespace, out) -> int:
             f"flows {', '.join(campaign.flows)} ===\n"
         )
 
-    runner = _campaign_runner(args, out)
-    report = runner.fuzz(campaign, units=units, shrink=not args.no_shrink)
-    out.write(report.table() + "\n")
-    _print_summary_dict(report.summary(), out)
+    report = _campaign_runner(args, out).fuzz(campaign, units=units, shrink=not args.no_shrink)
+    coverage = ""
     if args.coverage_report:
-        from ..cov import render_coverage_report
+        from ..cov import CoverageMap, render_coverage_report
+        from ..cov.features import fold_units, load_corpus_specs
 
-        coverage = _report_coverage(
-            units if units is not None else campaign.units(), report.records
+        folded = CoverageMap()
+        fold_units(
+            folded,
+            units if units is not None else campaign.units(),
+            report.records,
+            corpus=load_corpus_specs(),
         )
-        out.write(
-            render_coverage_report(
-                coverage,
-                list(campaign.flows),
-                families=list(campaign.families) or None,
+        coverage = render_coverage_report(
+            folded, list(campaign.flows), families=list(campaign.families) or None
+        )
+    failure_lines = ["FAILED equivalence on:"]
+    for record in report.failures:
+        failure_lines.append(f"  {replay_line(record)}")
+        shrunk = report.shrunk.get(f"{record.get('circuit')}|{record.get('flow_variant')}")
+        if shrunk:
+            failure_lines.append(
+                f"    shrunk {shrunk['initial_gates']} -> "
+                f"{shrunk['final_gates']} gates; minimal reproducer:"
             )
-            + "\n"
-        )
-    out.write(
-        f"timing: {report.elapsed_s:.2f}s wall "
-        f"({report.cached} verdicts cached, {report.computed} verified, "
-        f"{report.jobs} workers)\n"
+            failure_lines += [
+                f"      {line}" for line in str(shrunk["bench"]).rstrip().splitlines()
+            ]
+    return _campaign_tail(
+        report, out, "verdicts", "verified", failure_lines,
+        save=Path(args.save) / f"fuzz-{args.seed}.json" if args.save else None,
+        extra=coverage,
     )
-    if args.save:
-        _save_report_json(report.to_dict(), Path(args.save) / f"fuzz-{args.seed}.json", out)
-    if not report.all_equivalent:
-        out.write("FAILED equivalence on:\n")
-        for record in report.failures:
-            out.write(f"  {replay_line(record)}\n")
-            key = f"{record.get('circuit')}|{record.get('flow_variant')}"
-            shrunk = report.shrunk.get(key)
-            if shrunk:
-                out.write(
-                    f"    shrunk {shrunk['initial_gates']} -> "
-                    f"{shrunk['final_gates']} gates; minimal reproducer:\n"
-                )
-                for line in str(shrunk["bench"]).rstrip().splitlines():
-                    out.write(f"      {line}\n")
-        return 1
-    return 0
 
 
 def _parse_fault_kinds(raw: str):
@@ -796,7 +780,7 @@ def _parse_fault_magnitudes(pairs):
 
 
 def _cmd_faults(args: argparse.Namespace, out) -> int:
-    from ..faults import FaultCampaign, render_fault_table
+    from ..faults import FaultCampaign
 
     _validate_circuits(args.circuit)
     kinds = _parse_fault_kinds(args.kinds)
@@ -824,23 +808,13 @@ def _cmd_faults(args: argparse.Namespace, out) -> int:
         f"{mode}, seed {args.seed}) ===\n"
     )
     report = _campaign_runner(args, out).faults(campaign, units=units)
-    out.write(render_fault_table(report.records) + "\n")
-    _print_summary_dict(report.summary(), out)
-    out.write(
-        f"timing: {report.elapsed_s:.2f}s wall "
-        f"({report.cached}/{len(units)} records cached, "
-        f"{report.computed} probed, {report.jobs} workers)\n"
+    failed = ", ".join(
+        f"{r.get('circuit')} flow={r.get('flow_variant')}" for r in report.failures
     )
-    if args.report:
-        _save_report_json(report.to_dict(), Path(args.report), out)
-    if report.failures:
-        failed = ", ".join(
-            f"{r.get('circuit')} flow={r.get('flow_variant')}"
-            for r in report.failures
-        )
-        out.write(f"FAILED nominal equivalence: {failed}\n")
-        return 1
-    return 0
+    return _campaign_tail(
+        report, out, "records", "probed", [f"FAILED nominal equivalence: {failed}"],
+        save=Path(args.report) if args.report else None,
+    )
 
 
 def _cmd_bench(args: argparse.Namespace, out) -> int:

@@ -41,27 +41,13 @@ from ..circuits import info as circuit_info
 from ..core import Flow, FlowOptions, TimingObserver, get_stage_cache
 from ..schema import (
     atomic_write_json,
-    content_key,
     load_document,
     pack,
     quarantine,
-    schema_tag,
+    spec_key,
 )
 
 logger = logging.getLogger(__name__)
-
-#: Current version of the ``repro-record/<N>`` message type; part of every
-#: cache key.  2: records key on the flow signature and carry per-stage
-#: timings.  3: records are stamped with the ``repro.schema`` envelope on
-#: disk (untagged v2 documents still load, via migration).
-RECORD_SCHEMA = 3
-
-
-def _package_version() -> str:
-    from .. import __version__
-
-    return __version__
-
 
 #: A flow signature entry as stored on a job: (stage name, merged options).
 StageSignature = Tuple[Tuple[str, Tuple[Tuple[str, object], ...]], ...]
@@ -187,19 +173,15 @@ class SynthesisJob:
     def key(self) -> str:
         """Content-addressed cache key: flow signature + package version.
 
-        Canonicalised through :func:`repro.schema.content_key`: a flow
+        Built by :func:`repro.schema.spec_key`: a flow
         signature carrying a non-JSON-native option value raises
         :class:`repro.schema.WireFormatError` instead of being silently
         stringified into a collision-prone key.
         """
-        payload = {
-            "schema": schema_tag(self.schema_kind),
-            "version": _package_version(),
-            "circuit": self.circuit,
-            "scale": self.scale,
-            "flow": self.signature(),
-        }
-        return content_key(payload)
+        return spec_key(
+            self.schema_kind,
+            {"circuit": self.circuit, "scale": self.scale, "flow": self.signature()},
+        )
 
 
 def synthesis_record(job: SynthesisJob) -> Dict[str, object]:

@@ -28,7 +28,8 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import experiments
-from ..exec import ExecEvent, executor_name, render_event, run_units, spec_units
+from ..exec import ExecEvent, SpecUnit, executor_name, render_event, run_units, spec_units
+from ..exec.status import classify
 from ..gen.fuzz import FuzzCampaign, FuzzReport, FuzzUnit, shrink_unit
 from ..schema import atomic_write_json, canonical_json
 from ..verify.campaign import (
@@ -267,6 +268,35 @@ def render_stage_timings(stage_timings: Mapping[str, Mapping[str, float]]) -> st
     return format_table(["Stage", "Runs", "Cached", "Total (s)", "Mean (s)"], rows)
 
 
+def _spec(unit):
+    """The spec a campaign unit schedules (a verification spec is its own)."""
+    return getattr(unit, "spec", unit)
+
+
+def _describe(unit) -> str:
+    flow = getattr(unit, "flow_name", None)
+    return _spec(unit).label() + (f" flow={flow}" if flow else "")
+
+
+def annotate(record: Mapping[str, object], unit) -> Dict[str, object]:
+    """A campaign unit's record plus the unit's own context.
+
+    Fuzz and fault units add their ``flow_variant``; a fuzz unit also
+    adds its circuit's generation metadata (``family``, ``gen_params``,
+    ``gen_seed``).  A bare verification spec adds nothing.
+    """
+    merged = dict(record)
+    flow = getattr(unit, "flow_name", None)
+    if flow is not None:
+        merged["flow_variant"] = flow
+    gen = getattr(unit, "gen", None)
+    if gen is not None:
+        merged["family"] = gen.family
+        merged["gen_params"] = dict(gen.params)
+        merged["gen_seed"] = gen.seed
+    return merged
+
+
 def _job_label(job: SynthesisJob) -> str:
     if job.options:
         tweaks = {
@@ -370,66 +400,45 @@ class Runner:
         )
         return report
 
-    def _run_verification_specs(
-        self,
-        specs: Sequence[VerificationSpec],
-        describe: Callable[[VerificationSpec], str],
-        verb: str = "verified",
-        compute: Callable = verification_record,
-    ) -> Tuple[Dict[str, Dict[str, object]], int, int]:
-        """Shared campaign scheduler for ``verify``, ``fuzz`` and ``faults``.
+    def _campaign(self, report, units, verb, compute=verification_record, finish=None):
+        """The one scheduler behind :meth:`verify`, :meth:`fuzz` and :meth:`faults`.
 
-        Thin adapter over :func:`repro.exec.run_units`: specs become
-        :class:`~repro.exec.SpecUnit`\\ s around the module-level
-        ``compute`` function, and the shared lifecycle handles dedupe,
-        cache replay, executor fan-out and cache writes.  A unit that
-        raises (or whose worker crashes or times out) resolves
-        to a ``status: "error"`` record instead of aborting the
-        campaign; error records are never cached, so a rerun recomputes
-        exactly the failed units.
-
-        Returns ``(records by spec key, computed count, cached count)``.
-        """
-        outcome = run_units(
-            spec_units(specs, compute, describe),
-            cache=self.cache,
-            executor=self.executor,
-            jobs=self.jobs,
-            emit=self.emit,
-            verb=verb,
-            noun="verification",
-            unit_timeout=self.unit_timeout,
-        )
-        return outcome.records, outcome.computed, outcome.cached
-
-    def verify(self, specs: Sequence[VerificationSpec]) -> VerificationReport:
-        """Run a verification campaign on the executor.
-
-        Mirrors :meth:`run` for :class:`~repro.verify.campaign.VerificationSpec`
-        units: specs whose content-addressed key is already in the shared
-        result cache are replayed for free, the rest are computed on the
-        executor (synthesis + batched pulse verification per spec) and cached.
-        Records come back in spec order.
+        ``units`` are verification specs, or fuzz/fault units pairing a
+        spec with a flow variant.  Each spec runs as a
+        :class:`~repro.exec.SpecUnit` around the module-level
+        ``compute`` through :func:`repro.exec.run_units`: cached records
+        replay for free, the rest run on the executor and are cached.  A
+        unit that raises, crashes or times out resolves to a ``status:
+        "error"`` record (never cached) instead of aborting the
+        campaign.  The records land in ``report`` in unit order (see
+        :func:`annotate`); ``finish(report, units)`` runs before the
+        clock stops.
         """
         started = time.perf_counter()
-        records, computed, cached = self._run_verification_specs(
-            specs, lambda spec: spec.label()
+        outcome = self._run_units(
+            [SpecUnit(_spec(u), compute, _describe(u)) for u in units], verb, "verification"
         )
+        report.records = [annotate(outcome.records[_spec(u).key()], u) for u in units]
+        report.jobs, report.computed, report.cached = self.jobs, outcome.computed, outcome.cached
+        if finish is not None:
+            finish(report, units)
+        report.elapsed_s = time.perf_counter() - started
+        self.progress(
+            f"[{report.experiment}] done in {report.elapsed_s:.2f}s "
+            f"({report.cached} cached, {report.computed} {verb}, "
+            f"{len(report.failures)} failures, {len(report.errors)} errors)"
+        )
+        return report
+
+    def verify(self, specs: Sequence[VerificationSpec]) -> VerificationReport:
+        """Run a verification campaign (synthesis + batched pulse
+        verification per spec) through :meth:`_campaign`."""
         report = VerificationReport(
-            records=[records[spec.key()] for spec in specs],
             scale=specs[0].scale if specs else "quick",
             patterns=specs[0].patterns if specs else 0,
             seed=specs[0].seed if specs else 0,
-            jobs=self.jobs,
-            computed=computed,
-            cached=cached,
-            elapsed_s=time.perf_counter() - started,
         )
-        self.progress(
-            f"[verify] done in {report.elapsed_s:.2f}s "
-            f"({report.cached} cached, {report.computed} verified)"
-        )
-        return report
+        return self._campaign(report, list(specs), "verified")
 
     def fuzz(
         self,
@@ -437,17 +446,16 @@ class Runner:
         units: Optional[Sequence[FuzzUnit]] = None,
         shrink: bool = True,
     ) -> FuzzReport:
-        """Run a differential fuzzing campaign on the executor.
+        """Run a differential fuzzing campaign through :meth:`_campaign`.
 
         Every :class:`~repro.gen.fuzz.FuzzUnit` — one generated circuit
-        under one flow variant — is a
-        :class:`~repro.verify.campaign.VerificationSpec`, so scheduling,
-        caching and execution are exactly the ``verify`` path: cached
-        verdicts replay for free, the rest run on the executor.
-        Generated circuits are rebuilt in workers from their
-        self-describing names (no registry state is shipped).  Failing
-        units are then shrunk **in-process** to 1-minimal reproducers
-        (``shrink=False`` skips that, e.g. for pure triage runs).
+        under one flow variant — verifies a
+        :class:`~repro.verify.campaign.VerificationSpec`; workers rebuild
+        generated circuits from their self-describing names.  Units with
+        a verdict failure are then shrunk **in-process** to 1-minimal
+        reproducers (``shrink=False`` skips that, e.g. for pure triage
+        runs); errored units never are, since re-running a unit that
+        timed out could hang the campaign.
 
         Args:
             campaign: The campaign identity (also determines the units
@@ -456,65 +464,37 @@ class Runner:
                 (used by ``repro fuzz --replay``).
             shrink: Minimise failing circuits after the campaign.
         """
-        started = time.perf_counter()
         unit_list = list(units) if units is not None else campaign.units()
-        by_key: Dict[str, FuzzUnit] = {}
-        for unit in unit_list:
-            by_key.setdefault(unit.spec.key(), unit)
-        records, computed, cached = self._run_verification_specs(
-            [unit.spec for unit in unit_list],
-            lambda spec: f"{spec.label()} flow={by_key[spec.key()].flow_name}",
-            verb="fuzzed",
+        return self._campaign(
+            FuzzReport(campaign=campaign),
+            unit_list,
+            "fuzzed",
+            finish=self._shrink if shrink else None,
         )
-        report = FuzzReport(
-            campaign=campaign,
-            records=[
-                unit.annotate(records[unit.spec.key()]) for unit in unit_list
-            ],
-            jobs=self.jobs,
-            computed=computed,
-            cached=cached,
-        )
-        if shrink:
-            for record in report.failures:
-                # Find the unit that produced this record (records keep
-                # unit order, so match on circuit + flow variant).
-                unit = next(
-                    u
-                    for u in unit_list
-                    if u.spec.circuit == record.get("circuit")
-                    and u.flow_name == record.get("flow_variant")
-                )
-                self.progress(
-                    f"  shrinking {unit.spec.circuit} flow={unit.flow_name} ..."
-                )
-                result = shrink_unit(
-                    unit.gen,
-                    unit.flow_name,
-                    patterns=unit.spec.patterns,
-                    stimulus_seed=unit.spec.seed,
-                    sequence_length=unit.spec.sequence_length,
-                )
-                if result is not None:
-                    report.attach_shrink(record, result)
-                    self.progress(f"    {result.summary()}")
-        report.elapsed_s = time.perf_counter() - started
-        self.progress(
-            f"[fuzz] done in {report.elapsed_s:.2f}s "
-            f"({report.cached} cached, {report.computed} verified, "
-            f"{len(report.failures)} failures)"
-        )
-        return report
+
+    def _shrink(self, report: FuzzReport, units: Sequence[FuzzUnit]) -> None:
+        """Attach a minimal reproducer to every counterexample of ``report``."""
+        for unit, record in zip(units, report.records):
+            if classify(record) != "fail":
+                continue
+            self.progress(f"  shrinking {unit.spec.circuit} flow={unit.flow_name} ...")
+            result = shrink_unit(
+                unit.gen,
+                unit.flow_name,
+                patterns=unit.spec.patterns,
+                stimulus_seed=unit.spec.seed,
+                sequence_length=unit.spec.sequence_length,
+            )
+            if result is not None:
+                report.attach_shrink(record, result)
+                self.progress(f"    {result.summary()}")
 
     def faults(self, campaign, units=None):
-        """Run a fault-injection / robustness campaign on the executor.
+        """Run a fault-injection campaign through :meth:`_campaign`.
 
         Every :class:`~repro.faults.FaultUnit` — one circuit under one
         flow variant with one fault scenario (optionally margin-swept) —
-        rides the same scheduler as ``verify`` and ``fuzz``: records
-        whose content-addressed key is already cached replay for free,
-        the rest run :func:`repro.faults.campaign.fault_record` on the
-        executor and are cached.
+        runs :func:`repro.faults.campaign.fault_record`.
 
         Args:
             campaign: A :class:`repro.faults.FaultCampaign`.
@@ -523,34 +503,12 @@ class Runner:
         Returns:
             A :class:`repro.faults.FaultReport`, records in unit order.
         """
-        from ..faults.campaign import FaultReport, FaultUnit, fault_record
+        from ..faults.campaign import FaultReport, fault_record
 
-        started = time.perf_counter()
         unit_list = list(units) if units is not None else campaign.units()
-        by_key: Dict[str, FaultUnit] = {}
-        for unit in unit_list:
-            by_key.setdefault(unit.spec.key(), unit)
-        records, computed, cached = self._run_verification_specs(
-            [unit.spec for unit in unit_list],
-            lambda spec: f"{spec.label()} flow={by_key[spec.key()].flow_name}",
-            verb="probed",
-            compute=fault_record,
+        return self._campaign(
+            FaultReport(campaign=campaign), unit_list, "probed", compute=fault_record
         )
-        report = FaultReport(
-            campaign=campaign,
-            records=[unit.annotate(records[unit.spec.key()]) for unit in unit_list],
-            jobs=self.jobs,
-            computed=computed,
-            cached=cached,
-            elapsed_s=time.perf_counter() - started,
-        )
-        self.progress(
-            f"[faults] done in {report.elapsed_s:.2f}s "
-            f"({report.cached} cached, {report.computed} probed, "
-            f"{len(report.miscompares)} miscompares, "
-            f"{len(report.failures)} nominal failures)"
-        )
-        return report
 
     def soak(self, campaign, checkpoint_dir, max_batches: Optional[int] = None):
         """Run (or resume) one shard of a checkpointed soak campaign.
@@ -583,41 +541,38 @@ class Runner:
         synthesised this run (vs replayed from the result cache).
         """
         timings: Dict[str, float] = {}
-        computed_keys: set = set()
         if not job_list:
-            return timings, computed_keys
+            return timings, set()
 
-        label_by_key: Dict[str, str] = {}
-        job_by_key: Dict[str, SynthesisJob] = {}
-        for job in job_list:
-            key = job.key()
-            if key not in job_by_key:
-                job_by_key[key] = job
-                label_by_key[key] = _job_label(job)
-        units = spec_units(job_list, synthesis_record, _job_label)
+        unit_by_key: Dict[str, SpecUnit] = {}
+        for unit in spec_units(job_list, synthesis_record, _job_label):
+            unit_by_key.setdefault(unit.key(), unit)
         # The lifecycle replays cache hits and writes fresh records back
         # (so cache hit/miss/put statistics match the historical path);
         # priming below only fills the engine's in-process memory.
-        outcome = run_units(
+        outcome = self._run_units(list(unit_by_key.values()), "synthesised", "synthesis")
+        for key, record in outcome.records.items():
+            if classify(record) == "error":
+                # Leave the engine cold for this job: the assembler will
+                # recompute it serially and surface the real exception.
+                continue
+            engine.prime(unit_by_key[key].spec, record, persist=False)
+        for key, seconds in outcome.seconds.items():
+            timings[unit_by_key[key].description] = seconds
+        return timings, set(outcome.seconds)
+
+    def _run_units(self, units, verb: str, noun: str):
+        """:func:`repro.exec.run_units` with this runner's settings."""
+        return run_units(
             units,
             cache=self.cache,
             executor=self.executor,
             jobs=self.jobs,
             emit=self.emit,
-            verb="synthesised",
-            noun="synthesis",
+            verb=verb,
+            noun=noun,
             unit_timeout=self.unit_timeout,
         )
-        for key, record in outcome.records.items():
-            if record.get("status") == "error":
-                # Leave the engine cold for this job: the assembler will
-                # recompute it serially and surface the real exception.
-                continue
-            engine.prime(job_by_key[key], record, persist=False)
-        for key, seconds in outcome.seconds.items():
-            timings[label_by_key[key]] = seconds
-            computed_keys.add(key)
-        return timings, computed_keys
 
 
 def run_experiment(

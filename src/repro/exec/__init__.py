@@ -4,9 +4,11 @@ One :class:`WorkUnit` lifecycle (dedupe → cache replay → execute →
 schema-validate → cache put) over two executor backends (in-process
 serial, supervised persistent workers), emitting
 structured :class:`ExecEvent`\\ s instead of per-campaign progress
-f-strings.  ``Runner.run`` / ``verify`` / ``fuzz`` / ``faults`` /
-``soak`` and the perf harness are thin compositions over this package;
-the future ``repro serve`` daemon plugs into the same substrate.
+f-strings, and one status rule (:mod:`repro.exec.status`) deciding
+which records pass, fail or errored.  ``Runner.run`` / ``verify`` /
+``fuzz`` / ``faults`` / ``soak`` and the perf harness are thin
+compositions over this package; the future ``repro serve`` daemon plugs
+into the same substrate.
 """
 
 from .events import EmitFn, ExecEvent, render_event

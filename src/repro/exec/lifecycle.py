@@ -1,9 +1,8 @@
 """The one execution lifecycle every campaign path runs through.
 
-:func:`run_units` is the shared pipeline that used to be re-implemented
-(with small divergences) by ``Runner._prefetch``,
-``Runner._run_verification_specs``, the soak batch loop and the perf
-harness:
+:func:`run_units` is the shared pipeline behind ``Runner._prefetch``
+(synthesis jobs), ``Runner._campaign`` (the ``verify``, ``fuzz`` and
+``faults`` campaigns, soak batches included) and the perf harness:
 
     dedupe by key → cache replay → execute → cache put
 
@@ -20,7 +19,8 @@ the unit's own identity payload plus structured error info.  Error
 records flow into the campaign report (so a run always completes and
 accounts for every unit) but are **never** written to the result cache,
 so a rerun recomputes exactly the failed units from scratch while
-replaying every healthy record from cache.
+replaying every healthy record from cache.  By the status rule of
+:mod:`repro.exec.status`, one error record fails its campaign.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from .events import EmitFn, ExecEvent
 from .executors import Executor, PersistentWorkerExecutor, SerialExecutor, UnitResult
+from .status import ERROR, error_detail
 from .units import WorkUnit
 
 __all__ = [
@@ -115,7 +116,7 @@ def _error_record(result: UnitResult) -> Dict[str, object]:
     spec = getattr(result.unit, "spec", None)
     if spec is not None and hasattr(spec, "to_dict"):
         record.update(spec.to_dict())
-    record["status"] = "error"
+    record["status"] = ERROR
     record["error"] = dict(result.error or {})
     record["attempts"] = result.attempts
     record["seconds"] = result.seconds
@@ -212,10 +213,7 @@ def run_units(
                         status="error",
                         seconds=result.seconds,
                         attempt=result.attempts,
-                        detail=(
-                            f"{record['error'].get('type', 'Error')}: "
-                            f"{record['error'].get('message', '')}"
-                        ),
+                        detail=error_detail(record),
                     )
                 )
                 continue

@@ -6,7 +6,7 @@ picklable unit — circuit, scale, canonical flow signature, canonical
 fault-scenario name, stimulus identity, and whether to sweep the margin
 — whose content-addressed :meth:`~FaultSpec.key` lets verdict records
 ride the shared :class:`repro.eval.engine.ResultCache` and the
-``multiprocessing`` scheduler of
+``serial`` or ``workers`` backend of
 :meth:`repro.eval.runner.Runner.faults` unchanged.
 
 :func:`fault_record` is the worker-process entry point.  Per unit it:
@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..circuits import build as build_circuit
 from ..circuits import info as circuit_info
@@ -42,9 +42,10 @@ from ..circuits import names as circuit_names
 from ..core import Flow, get_stage_cache
 from ..core.report import format_table
 from ..core.flowgraph import flow_variant
-from ..schema import content_key, load_document, pack, schema_tag
+from ..exec.status import CampaignReport, classify, verified_patterns
+from ..schema import load_document, pack, schema_tag, spec_key
 from ..sim.pulse import suggest_phase_period
-from ..verify.campaign import StageSignature, _cell_counts
+from ..verify.campaign import StageSignature, _cell_counts, verdict_detail
 from ..verify.equivalence import verify_result
 from .margin import MarginResult, search_margin
 from .scenario import FaultScenario, default_scenario, fault_kind, parse_fault_name
@@ -59,17 +60,11 @@ __all__ = [
     "FaultUnit",
     "fault_record",
     "load_fault_report",
-    "render_fault_table",
 ]
 
 #: Schema tag of the ``repro faults --report`` JSON document (the
 #: ``faults`` kind of the ``repro.schema`` registry).
 FAULTS_SCHEMA = schema_tag("faults")
-
-#: Current version of the ``repro-fault/<N>`` record message type.
-#: 2: records are stamped with the ``repro.schema`` envelope on disk
-#: (untagged v1 documents still load, via migration).
-FAULT_RECORD_SCHEMA = 2
 
 #: Kinds a campaign injects when the caller does not choose: the two
 #: timing aspects, whose margins are the headline robustness numbers.
@@ -77,12 +72,6 @@ DEFAULT_FAULT_KINDS: Tuple[str, ...] = ("jitter", "skew")
 
 #: Flow variants a campaign crosses circuits with by default.
 DEFAULT_FAULT_FLOWS: Tuple[str, ...] = ("default",)
-
-
-def _package_version() -> str:
-    from .. import __version__
-
-    return __version__
 
 
 @dataclass(frozen=True)
@@ -153,23 +142,12 @@ class FaultSpec:
     def key(self) -> str:
         """Content-addressed cache key: flow + scenario + stimulus identity.
 
-        Canonicalised through :func:`repro.schema.content_key` — no
-        ``default=str`` escape hatch, so a non-JSON-native value in the
-        flow signature raises instead of destabilising the key.
+        :meth:`to_dict` fields, with the flow as its canonical signature,
+        through :func:`repro.schema.spec_key` — a non-JSON-native value
+        in the signature raises instead of destabilising the key.
         """
-        payload = {
-            "schema": schema_tag(self.schema_kind),
-            "version": _package_version(),
-            "circuit": self.circuit,
-            "scale": self.scale,
-            "flow": self.stages or Flow.default().signature(),
-            "scenario": self.scenario,
-            "patterns": self.patterns,
-            "stimulus_seed": self.stimulus_seed,
-            "sequence_length": self.sequence_length,
-            "margin": self.margin,
-        }
-        return content_key(payload)
+        flow = self.stages or Flow.default().signature()
+        return spec_key(self.schema_kind, {**self.to_dict(), "flow": flow})
 
     def label(self) -> str:
         suffix = " margin" if self.margin else ""
@@ -314,12 +292,6 @@ class FaultUnit:
             ),
         )
 
-    def annotate(self, record: Mapping[str, object]) -> Dict[str, object]:
-        """The fault record plus this unit's flow-variant name."""
-        merged = dict(record)
-        merged["flow_variant"] = self.flow_name
-        return merged
-
 
 @dataclass(frozen=True)
 class FaultCampaign:
@@ -395,55 +367,51 @@ class FaultCampaign:
 
 
 @dataclass
-class FaultReport:
-    """Everything one fault campaign produced.
+class FaultReport(CampaignReport):
+    """Everything one fault campaign produced: ``campaign``, its identity,
+    plus the :class:`~repro.exec.status.CampaignReport` bookkeeping.
 
-    Attributes:
-        campaign: The campaign identity that was run.
-        records: One annotated record per unit, in unit order.
-        jobs: Worker processes requested (``-j``).
-        computed: Units computed this run (cache misses).
-        cached: Units replayed from the result cache.
-        elapsed_s: Wall clock for the whole campaign.  Deliberately
-            **not** part of :meth:`to_dict`: the emitted report must be
-            byte-identical across reruns of the same campaign.
+    Its ``failures`` are the *nominal* miscompares; its wall clock,
+    worker and cache counts stay out of :meth:`to_dict`, so reruns emit
+    byte-identical reports.
     """
 
-    campaign: FaultCampaign
-    records: List[Dict[str, object]] = field(default_factory=list)
-    jobs: int = 1
-    computed: int = 0
-    cached: int = 0
-    elapsed_s: float = 0.0
+    experiment: ClassVar[str] = "faults"
 
-    @property
-    def failures(self) -> List[Dict[str, object]]:
-        """Records whose *nominal* verification failed — real flow bugs.
-
-        A ``miscompare`` under an injected fault is campaign data, not a
-        failure: the whole point is measuring where circuits break.
-        """
-        return [r for r in self.records if r.get("status") == "nominal-miscompare"]
-
-    @property
-    def miscompares(self) -> List[Dict[str, object]]:
-        return [r for r in self.records if r.get("status") == "miscompare"]
+    campaign: FaultCampaign = field(default_factory=FaultCampaign)
 
     def margins(self) -> List[Dict[str, object]]:
-        return [r for r in self.records if r.get("margin") is not None]
+        return [r for r in self.results if r.get("margin") is not None]
 
     def table(self) -> str:
-        return render_fault_table(self.records)
+        """The ``repro faults`` table: verdict, margin and detail per record."""
+        rows = [
+            [
+                record.get("circuit", "?"),
+                record.get("kind", "?"),
+                record.get("flow_variant", "default"),
+                record.get("fault_kind", "?"),
+                str(record.get("status", "?")).upper(),
+                verified_patterns(record),
+                _margin_cell(record),
+                _detail_cell(record),
+            ]
+            for record in self.records
+        ]
+        return format_table(
+            ["Circuit", "Kind", "Flow", "Fault", "Status", "Patterns", "Margin", "Detail"],
+            rows,
+        )
 
     def summary(self) -> Dict[str, object]:
         margins = self.margins()
         return {
             "units": len(self.records),
             "circuits": len({r.get("circuit") for r in self.records}),
-            "tolerated": sum(1 for r in self.records if r.get("status") == "tolerated"),
-            "miscompares": len(self.miscompares),
+            "tolerated": self.count("tolerated"),
+            "miscompares": self.count("miscompare"),
             "nominal_miscompares": len(self.failures),
-            "skipped": sum(1 for r in self.records if r.get("status") == "skipped"),
+            "skipped": self.count("skipped"),
             "margins_found": len(margins),
             "margins_saturated": sum(1 for r in margins if r.get("margin_saturated")),
             "margins_positive": sum(
@@ -451,10 +419,10 @@ class FaultReport:
             ),
             "total_injections": sum(
                 int(count)
-                for r in self.records
+                for r in self.results
                 for count in (r.get("injections") or {}).values()
             ),
-            "all_nominal_equivalent": not self.failures,
+            "all_nominal_equivalent": self.passed,
         }
 
     def coverage(self):
@@ -510,7 +478,7 @@ def load_fault_report(path: Path) -> Dict[str, object]:
 
 def _margin_cell(record: Mapping[str, object]) -> str:
     margin = record.get("margin")
-    if margin is None:
+    if margin is None or classify(record) == "error":
         return "-"
     unit = "" if str(record.get("fault_kind")) in ("drop", "dup") else " ps"
     suffix = "+" if record.get("margin_saturated") else ""
@@ -518,21 +486,9 @@ def _margin_cell(record: Mapping[str, object]) -> str:
 
 
 def _detail_cell(record: Mapping[str, object]) -> str:
-    status = str(record.get("status") or "")
-    if status in ("miscompare", "nominal-miscompare"):
-        cex = record.get("counterexample") or {}
-        net = record.get("first_divergence_net")
-        where = f"pattern {cex.get('pattern')}" if cex else "unknown pattern"
-        out = (
-            f"{cex.get('output')}: expected {cex.get('expected')}, "
-            f"got {cex.get('observed')}"
-            if cex
-            else ""
-        )
-        suffix = f"; first divergence at net {net!r}" if net else ""
-        return f"{where}, {out}{suffix}"
-    if status == "skipped":
-        return str(record.get("reason") or "skipped")
+    verdicts = ("miscompare", "nominal-miscompare", "skipped")
+    if classify(record) == "error" or record.get("status") in verdicts:
+        return verdict_detail(record)
     injections = record.get("injections") or {}
     total = sum(int(v) for v in injections.values())
     if record.get("margin") is not None:
@@ -540,24 +496,3 @@ def _detail_cell(record: Mapping[str, object]) -> str:
         cap = float(record.get("margin_cap") or 0.0)
         return f"{probes} probes, cap {cap:.1f}, {total} injections"
     return f"{total} injections ({record.get('mode')})"
-
-
-def render_fault_table(records: Sequence[Mapping[str, object]]) -> str:
-    """The ``repro faults`` summary/margin table."""
-    rows = [
-        [
-            record.get("circuit", "?"),
-            record.get("kind", "?"),
-            record.get("flow_variant", "default"),
-            record.get("fault_kind", "?"),
-            str(record.get("status", "?")).upper(),
-            int(record.get("patterns") or 0),
-            _margin_cell(record),
-            _detail_cell(record),
-        ]
-        for record in records
-    ]
-    return format_table(
-        ["Circuit", "Kind", "Flow", "Fault", "Status", "Patterns", "Margin", "Detail"],
-        rows,
-    )

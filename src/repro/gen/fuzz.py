@@ -26,10 +26,11 @@ surface is ``repro fuzz`` (see ``docs/fuzzing.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.flowgraph import flow_variant
 from ..core.report import format_table
+from ..exec.status import CampaignReport
 from ..netlist.bench import write_bench
 from ..netlist.network import LogicNetwork
 from ..verify.campaign import VerificationSpec
@@ -81,15 +82,6 @@ class FuzzUnit:
                 sequence_length=sequence_length,
             ),
         )
-
-    def annotate(self, record: Mapping[str, object]) -> Dict[str, object]:
-        """The verification record plus this unit's generation metadata."""
-        merged = dict(record)
-        merged["flow_variant"] = self.flow_name
-        merged["family"] = self.gen.family
-        merged["gen_params"] = dict(self.gen.params)
-        merged["gen_seed"] = self.gen.seed
-        return merged
 
 
 @dataclass(frozen=True)
@@ -205,42 +197,24 @@ def shrink_unit(
 
 
 @dataclass
-class FuzzReport:
-    """Everything one campaign produced.
+class FuzzReport(CampaignReport):
+    """Everything one campaign produced: one annotated verdict record per
+    ``(circuit, flow)`` unit and the rest of the
+    :class:`~repro.exec.status.CampaignReport` bookkeeping, plus:
 
     Attributes:
         campaign: The campaign identity that was run.
-        records: One annotated verdict record per ``(circuit, flow)``
-            unit, in unit order.
         shrunk: Bench text of each minimised reproducer, keyed by
             ``"<circuit>|<flow>"``, plus the shrink statistics.
-        jobs: Worker processes requested (``-j``).
-        computed: Units verified this run (cache misses).
-        cached: Units replayed from the result cache.
-        elapsed_s: Wall clock for the whole campaign.
     """
 
-    campaign: FuzzCampaign
-    records: List[Dict[str, object]] = field(default_factory=list)
+    experiment: ClassVar[str] = "fuzz"
+
+    campaign: FuzzCampaign = field(default_factory=FuzzCampaign)
     shrunk: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    jobs: int = 1
-    computed: int = 0
-    cached: int = 0
-    elapsed_s: float = 0.0
-
-    @property
-    def failures(self) -> List[Dict[str, object]]:
-        return [r for r in self.records if r.get("status") == "counterexample"]
-
-    @property
-    def all_equivalent(self) -> bool:
-        return not self.failures
 
     def circuits_verified(self) -> int:
         return len({r.get("circuit") for r in self.records})
-
-    def total_patterns(self) -> int:
-        return sum(int(r.get("patterns") or 0) for r in self.records)
 
     def attach_shrink(self, record: Mapping[str, object], result: ShrinkResult) -> None:
         key = f"{record.get('circuit')}|{record.get('flow_variant')}"
@@ -251,32 +225,15 @@ class FuzzReport:
 
     def table(self) -> str:
         """Aggregate per-(family, flow) summary table."""
-        buckets: Dict[Tuple[str, str], Dict[str, int]] = {}
+        groups: Dict[Tuple[str, str], CampaignReport] = {}
         for record in self.records:
             key = (str(record.get("family")), str(record.get("flow_variant")))
-            bucket = buckets.setdefault(
-                key, {"circuits": 0, "equivalent": 0, "counterexamples": 0, "skipped": 0, "patterns": 0}
-            )
-            bucket["circuits"] += 1
-            status = str(record.get("status"))
-            if status == "equivalent":
-                bucket["equivalent"] += 1
-            elif status == "counterexample":
-                bucket["counterexamples"] += 1
-            else:
-                bucket["skipped"] += 1
-            bucket["patterns"] += int(record.get("patterns") or 0)
+            groups.setdefault(key, CampaignReport()).records.append(record)
         rows = [
-            [
-                family,
-                flow,
-                bucket["circuits"],
-                bucket["equivalent"],
-                bucket["counterexamples"],
-                bucket["skipped"],
-                bucket["patterns"],
-            ]
-            for (family, flow), bucket in sorted(buckets.items())
+            [family, flow, len(group.records)]
+            + [group.count(s) for s in ("equivalent", "counterexample", "skipped")]
+            + [group.total_patterns()]
+            for (family, flow), group in sorted(groups.items())
         ]
         return format_table(
             ["Family", "Flow", "Units", "Equiv", "Cex", "Skip", "Patterns"], rows
@@ -287,16 +244,16 @@ class FuzzReport:
             "circuits": self.circuits_verified(),
             "units": len(self.records),
             "flows": len(self.campaign.flows),
-            "equivalent": sum(1 for r in self.records if r.get("status") == "equivalent"),
+            "equivalent": self.count("equivalent"),
             "counterexamples": len(self.failures),
-            "skipped": sum(1 for r in self.records if r.get("status") == "skipped"),
+            "skipped": self.count("skipped"),
             "total_patterns": self.total_patterns(),
             "all_equivalent": self.all_equivalent,
         }
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "experiment": "fuzz",
+            "experiment": self.experiment,
             "campaign": self.campaign.to_dict(),
             "jobs": self.jobs,
             "computed": self.computed,

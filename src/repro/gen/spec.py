@@ -10,8 +10,8 @@ in a single parseable token::
 which makes generated circuits *self-describing*: any process that sees
 the name can rebuild the exact netlist with :func:`build_named` — no
 shared registry state, no pickled generator closures.  That is how the
-fuzzing campaign ships work to ``multiprocessing`` workers and how a
-failure line printed by ``repro fuzz`` replays anywhere.
+fuzzing campaign ships work to the processes of the ``workers`` backend
+and how a failure line printed by ``repro fuzz`` replays anywhere.
 
 :func:`resolve` turns a spec into a synthetic
 :class:`~repro.circuits.registry.CircuitInfo` (suite ``"gen"``), and

@@ -49,8 +49,8 @@ def _verify_workload(
         report = Runner(jobs=1, cache=None).verify(specs)
         if not report.all_equivalent:
             raise RuntimeError(
-                f"verify benchmark produced non-equivalent verdicts: "
-                f"{[r.get('circuit') for r in report.failures]}"
+                f"verify benchmark produced non-equivalent verdicts or errors: "
+                f"{[r.get('circuit') for r in report.failures + report.errors]}"
             )
         return {"patterns": report.total_patterns(), "circuits": len(specs)}
 
@@ -66,7 +66,7 @@ def _fuzz_workload(budget: int, seed: int = 0) -> Callable[[], Mapping[str, floa
         report = Runner(jobs=1, cache=None).fuzz(campaign, shrink=False)
         summary = report.summary()
         if not report.all_equivalent:
-            raise RuntimeError("fuzz benchmark produced counterexamples")
+            raise RuntimeError("fuzz benchmark produced counterexamples or errors")
         return {
             "patterns": float(summary.get("total_patterns", 0)),
             "units": float(summary.get("units", 0)),
@@ -99,8 +99,8 @@ def _soak_batch_workload(
         )
         with tempfile.TemporaryDirectory(prefix="repro-soak-bench-") as tmp:
             state = Runner(jobs=1, cache=None).soak(campaign, Path(tmp))
-        if state.failures:
-            raise RuntimeError("soak benchmark produced counterexamples")
+        if not state.passed:
+            raise RuntimeError("soak benchmark produced counterexamples or errors")
         return {
             "units": float(state.units_done),
             "new_features": float(state.new_features_total()),
@@ -130,10 +130,10 @@ def _faults_margin_workload(
             margin=True,
         )
         report = Runner(jobs=1, cache=None).faults(campaign)
-        if report.failures:
+        if not report.passed:
             raise RuntimeError(
-                f"faults benchmark hit nominal miscompares: "
-                f"{[r.get('circuit') for r in report.failures]}"
+                f"faults benchmark hit nominal miscompares or errors: "
+                f"{[r.get('circuit') for r in report.failures + report.errors]}"
             )
         return {
             "units": float(len(report.records)),

@@ -42,6 +42,7 @@ from .registry import (
     register,
     registered_kinds,
     schema_tag,
+    spec_key,
 )
 from . import types as _types  # noqa: F401  - registers the concrete kinds
 
@@ -62,4 +63,5 @@ __all__ = [
     "register",
     "registered_kinds",
     "schema_tag",
+    "spec_key",
 ]

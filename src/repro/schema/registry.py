@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from .canonical import SchemaError, ensure_wire_safe
+from .canonical import SchemaError, content_key, ensure_wire_safe
 
 __all__ = [
     "TAG_KEY",
@@ -45,6 +45,7 @@ __all__ = [
     "register",
     "registered_kinds",
     "schema_tag",
+    "spec_key",
 ]
 
 #: The reserved envelope key carrying the ``repro-<kind>/<N>`` tag.
@@ -146,6 +147,19 @@ def message_type(kind: str) -> MessageType:
 def schema_tag(kind: str) -> str:
     """The current ``repro-<kind>/<N>`` tag of a registered kind."""
     return message_type(kind).tag
+
+
+def spec_key(kind: str, fields: Mapping[str, object]) -> str:
+    """Content-addressed cache key of a spec whose records are ``kind`` documents.
+
+    The one key recipe of ``SynthesisJob``, ``VerificationSpec`` and
+    ``FaultSpec``: the kind's current tag and the package version, then
+    the spec's own ``fields``.  Bumping either invalidates every cached
+    record of the kind.
+    """
+    from .. import __version__
+
+    return content_key({"schema": schema_tag(kind), "version": __version__, **fields})
 
 
 def parse_tag(tag: object) -> Tuple[str, int]:

@@ -30,7 +30,6 @@ from .campaign import (
     VerificationReport,
     VerificationSpec,
     catalog_specs,
-    render_verification_table,
     verification_record,
 )
 from . import flowstage  # noqa: F401  - registers the 'verify' stage
@@ -45,6 +44,5 @@ __all__ = [
     "VerificationReport",
     "VerificationSpec",
     "catalog_specs",
-    "render_verification_table",
     "verification_record",
 ]

@@ -7,8 +7,8 @@ parameters (pattern budget, seed, trajectory length).  Its
 content-addressed :meth:`~VerificationSpec.key` is what the shared
 :class:`repro.eval.engine.ResultCache` stores verdict records under, so a
 warm cache replays an entire catalog campaign with zero re-synthesis and
-zero re-simulation, and ``multiprocessing`` workers in
-:meth:`repro.eval.runner.Runner.verify` never compute the same spec
+zero re-simulation, and the ``serial`` or ``workers`` backend of
+:meth:`repro.eval.runner.Runner.verify` never computes the same spec
 twice.
 
 :func:`verification_record` is the worker-process entry point: build the
@@ -20,7 +20,7 @@ check of the whole synthesis stack — and flatten the verdict to JSON.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..circuits import build as build_circuit
@@ -28,31 +28,19 @@ from ..circuits import info as circuit_info
 from ..circuits import names as circuit_names
 from ..core import Flow, get_stage_cache
 from ..core.report import format_table
-from ..schema import content_key, schema_tag
+from ..exec.status import CampaignReport, classify, error_detail, verified_patterns
+from ..schema import spec_key
 from .equivalence import VerificationVerdict, verify_result
 
 __all__ = [
     "VerificationReport",
     "VerificationSpec",
     "catalog_specs",
-    "render_verification_table",
     "verification_record",
 ]
 
-#: Current version of the ``repro-verify/<N>`` message type.
-#: 2: records gained ``cell_counts`` (mapped cell-family histogram).
-#: 3: records are stamped with the ``repro.schema`` envelope on disk
-#: (untagged v2 documents still load, via migration).
-VERIFY_SCHEMA = 3
-
 #: A flow signature as stored on a spec (same shape as SynthesisJob.stages).
 StageSignature = Tuple[Tuple[str, Tuple[Tuple[str, object], ...]], ...]
-
-
-def _package_version() -> str:
-    from .. import __version__
-
-    return __version__
 
 
 @dataclass(frozen=True)
@@ -106,21 +94,12 @@ class VerificationSpec:
     def key(self) -> str:
         """Content-addressed cache key: flow signature + stimulus identity.
 
-        Canonicalised through :func:`repro.schema.content_key` — no
-        ``default=str`` escape hatch, so a non-JSON-native value in the
-        flow signature raises instead of destabilising the key.
+        :meth:`to_dict` fields, with the flow as its canonical signature,
+        through :func:`repro.schema.spec_key` — a non-JSON-native value
+        in the signature raises instead of destabilising the key.
         """
-        payload = {
-            "schema": schema_tag(self.schema_kind),
-            "version": _package_version(),
-            "circuit": self.circuit,
-            "scale": self.scale,
-            "flow": self.stages or Flow.default().signature(),
-            "patterns": self.patterns,
-            "seed": self.seed,
-            "sequence_length": self.sequence_length,
-        }
-        return content_key(payload)
+        flow = self.stages or Flow.default().signature()
+        return spec_key(self.schema_kind, {**self.to_dict(), "flow": flow})
 
     def label(self) -> str:
         return f"{self.circuit}@{self.scale} n={self.patterns} seed={self.seed}"
@@ -202,46 +181,55 @@ def _cell_counts(result) -> Dict[str, int]:
 
 
 @dataclass
-class VerificationReport:
+class VerificationReport(CampaignReport):
     """Everything one campaign produced (mirrors ``RunReport`` for verify).
 
+    Besides the :class:`~repro.exec.status.CampaignReport` bookkeeping:
+
     Attributes:
-        records: One flattened verdict record per spec, in spec order.
         scale: Circuit scale used.
         patterns: Requested pattern budget.
         seed: Stimulus seed.
-        jobs: Worker processes requested (``-j``).
-        computed: Specs verified this run (cache misses).
-        cached: Specs replayed from the result cache.
-        elapsed_s: Wall clock for the whole campaign.
     """
 
-    records: List[Dict[str, object]] = field(default_factory=list)
+    experiment: ClassVar[str] = "verify"
+
     scale: str = "quick"
     patterns: int = 256
     seed: int = 0
-    jobs: int = 1
-    computed: int = 0
-    cached: int = 0
-    elapsed_s: float = 0.0
-
-    @property
-    def failures(self) -> List[Dict[str, object]]:
-        return [r for r in self.records if r.get("status") == "counterexample"]
-
-    @property
-    def all_equivalent(self) -> bool:
-        return not self.failures
-
-    def total_patterns(self) -> int:
-        return sum(int(r.get("patterns") or 0) for r in self.records)
 
     def table(self) -> str:
-        return render_verification_table(self.records)
+        """The ``repro verify`` table, one row per record."""
+        rows = [
+            [
+                record.get("circuit", "?"),
+                record.get("kind", "?"),
+                record.get("status", "?").upper(),
+                verified_patterns(record),
+                int(record.get("elaborations") or 0),
+                f"{float(record.get('seconds') or 0.0):.2f}",
+                verdict_detail(record),
+            ]
+            for record in self.records
+        ]
+        return format_table(
+            ["Circuit", "Kind", "Status", "Patterns", "Elab", "Sim (s)", "Detail"],
+            rows,
+        )
+
+    def summary(self) -> Dict[str, object]:
+        return {
+            "circuits": len(self.records),
+            "equivalent": self.count("equivalent"),
+            "counterexamples": len(self.failures),
+            "skipped": self.count("skipped"),
+            "total_patterns": self.total_patterns(),
+            "all_equivalent": self.all_equivalent,
+        }
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "experiment": "verify",
+            "experiment": self.experiment,
             "scale": self.scale,
             "patterns": self.patterns,
             "seed": self.seed,
@@ -252,37 +240,12 @@ class VerificationReport:
             "rows": self.records,
             # Rendered table, so `repro report` re-renders saved campaigns.
             "text": self.table(),
-            "summary": {
-                "circuits": len(self.records),
-                "equivalent": sum(1 for r in self.records if r.get("status") == "equivalent"),
-                "counterexamples": len(self.failures),
-                "skipped": sum(1 for r in self.records if r.get("status") == "skipped"),
-                "total_patterns": self.total_patterns(),
-                "all_equivalent": self.all_equivalent,
-            },
+            "summary": self.summary(),
         }
 
 
-def render_verification_table(records: Sequence[Mapping[str, object]]) -> str:
-    """The ``repro verify`` summary table."""
-
-    def detail(record: Mapping[str, object]) -> str:
-        verdict = VerificationVerdict.from_dict(record)
-        return verdict.summary()
-
-    rows = [
-        [
-            record.get("circuit", "?"),
-            record.get("kind", "?"),
-            record.get("status", "?").upper(),
-            int(record.get("patterns") or 0),
-            int(record.get("elaborations") or 0),
-            f"{float(record.get('seconds') or 0.0):.2f}",
-            detail(record),
-        ]
-        for record in records
-    ]
-    return format_table(
-        ["Circuit", "Kind", "Status", "Patterns", "Elab", "Sim (s)", "Detail"],
-        rows,
-    )
+def verdict_detail(record: Mapping[str, object]) -> str:
+    """A record's verdict summary, or ``<type>: <message>`` if it errored."""
+    if classify(record) == "error":
+        return error_detail(record)
+    return VerificationVerdict.from_dict(record).summary()

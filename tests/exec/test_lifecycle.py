@@ -9,7 +9,7 @@ from repro.eval import Runner
 from repro.eval.engine import ResultCache
 from repro.exec import ProbeUnit, SerialExecutor, resolve_executor, run_units
 from repro.exec.executors import PersistentWorkerExecutor
-from repro.verify import VerificationSpec
+from repro.verify import VerificationReport, VerificationSpec
 
 
 def test_duplicate_keys_execute_once():
@@ -144,14 +144,14 @@ def test_runner_enforces_the_unit_timeout_at_one_job():
     assert runner.executor == "workers"
     spec = VerificationSpec(circuit="ctrl", patterns=8)
     started = time.monotonic()
-    records, computed, cached = runner._run_verification_specs(
-        [spec], lambda spec: spec.label(), compute=sleep_record
+    report = runner._campaign(
+        VerificationReport(), [spec], "verified", compute=sleep_record
     )
     assert time.monotonic() - started < 10.0
-    record = records[spec.key()]
+    (record,) = report.records
     assert record["status"] == "error"
     assert record["error"]["type"] == "Timeout"
-    assert (computed, cached) == (1, 0)
+    assert (report.computed, report.cached) == (1, 0)
 
 
 def test_schedule_event_only_for_parallel_batches():

@@ -129,7 +129,12 @@ class TestReport:
         record = dict(fault_record(spec), flow_variant="default")
         campaign = FaultCampaign(circuits=("ctrl",), kinds=("skew",))
         return FaultReport(
-            campaign, [record], jobs=2, computed=1, cached=0, elapsed_s=elapsed
+            campaign=campaign,
+            records=[record],
+            jobs=2,
+            computed=1,
+            cached=0,
+            elapsed_s=elapsed,
         )
 
     def test_to_dict_independent_of_runtime_statistics(self):
