@@ -7,8 +7,8 @@ each AIG node corresponds to one LA/FA pair and each complemented edge to a
 minimises LA/FA cells, which is why the paper can use off-the-shelf ABC.
 
 This module implements the AIG data structure itself — the substrate on which
-the optimisation passes in :mod:`repro.aig.balance`, :mod:`repro.aig.rewrite`,
-:mod:`repro.aig.refactor` and :mod:`repro.aig.retime` operate.  Literals are
+the optimisation passes in :mod:`repro.aig.balance`, :mod:`repro.aig.rework`
+(rewriting and refactoring) and :mod:`repro.aig.retime` operate.  Literals are
 encoded as ``2 * node_id + complement`` exactly as in ABC/AIGER; node 0 is
 the constant-false node, so literal ``0`` is constant false and literal ``1``
 constant true.

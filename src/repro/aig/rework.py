@@ -10,7 +10,10 @@ commands.  Both passes work the same way:
    factoring (the cheaper of the function and its complement);
 4. accept the replacement when the estimated number of new AND nodes is
    smaller than the size of the maximum fanout-free cone that would be
-   freed;
+   freed.  Refactoring computes the freed MFFC size first and factors the
+   cone only when :func:`~repro.aig.sop.cost_lower_bound` still allows
+   acceptance — most large cones cannot pay, and skipping them leaves the
+   accepted replacements unchanged;
 5. rebuild the AIG with the accepted replacements and sweep dangling nodes.
 
 As a safety net, the rebuilt AIG is only returned when it is not larger than
@@ -25,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .cuts import cone_nodes, enumerate_cuts, mffc_size, reconvergence_cut
 from .graph import FALSE, Aig, lit_is_complemented, lit_node, lit_not, make_lit
 from .simulate import cone_truth_table
-from .sop import FactorNode, build_factor_into_aig, factored_form_cost
+from .sop import FactorNode, build_factor_into_aig, cost_lower_bound, factored_form_cost
 
 
 class _Replacement:
@@ -105,8 +108,11 @@ def refactor(aig: Aig, max_cut: int = 10, zero_gain: bool = False) -> Aig:
             table = cone_truth_table(aig, make_lit(node), leaves)
         except ValueError:
             continue
+        freed = mffc_size(aig, node, cone, fanout_counts)
+        bound = cost_lower_bound(table, len(leaves))
+        if bound > freed or (bound == freed and not zero_gain):
+            continue
         cost, factor, complemented = factored_form_cost(table, len(leaves))
-        freed = mffc_size(aig, node, leaves, fanout_counts)
         if cost < freed or (zero_gain and cost == freed):
             replacements[node] = _Replacement(leaves, factor, complemented)
             claimed.update(cone)
@@ -145,7 +151,7 @@ def rewrite(aig: Aig, cut_size: int = 4, max_cuts_per_node: int = 8, zero_gain: 
                 continue
             # factored_form_cost is memoised process-wide (lru_cache).
             cost, factor, complemented = factored_form_cost(table, len(leaves))
-            freed = mffc_size(aig, node, leaves, fanout_counts)
+            freed = mffc_size(aig, node, cone, fanout_counts)
             gain = freed - cost
             if gain > 0 or (zero_gain and gain == 0):
                 if best is None or gain > best[0]:

@@ -7,7 +7,7 @@ Used for three purposes in the flow:
 * exhaustive truth-table computation of whole (small) AIGs for the test
   suite, and
 * truth-table computation of cut cones for the refactoring / rewriting
-  passes (:mod:`repro.aig.refactor`, :mod:`repro.aig.rewrite`).
+  passes (:mod:`repro.aig.rework`).
 
 Two interchangeable kernels back :func:`simulate_patterns`:
 

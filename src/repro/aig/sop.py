@@ -309,6 +309,17 @@ def build_factor_into_aig(
     return build(factor)
 
 
+def cost_lower_bound(table: int, num_vars: int) -> int:
+    """Exact lower bound on ``factored_form_cost(table, num_vars)[0]``.
+
+    Proof: :meth:`FactorNode.num_ops` of any tree is its leaf count minus
+    one, and a tree realising ``f`` or ``!f`` has every support variable as
+    a leaf, so ``cost >= |support(table)| - 1`` (0 for constants).  Callers
+    compare it with a cone's gain before paying for ISOP + factoring.
+    """
+    return max(0, len(support(table, num_vars)) - 1)
+
+
 @lru_cache(maxsize=1 << 16)
 def factored_form_cost(table: int, num_vars: int) -> Tuple[int, FactorNode, bool]:
     """Return the cheaper of factoring ``f`` and ``!f``.

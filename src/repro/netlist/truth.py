@@ -2,8 +2,9 @@
 
 These helpers are used throughout the test-suite to check that netlist
 transformations (AIG optimisation, dual-rail mapping, polarity optimisation)
-preserve functionality, and by the refactoring pass to resynthesise small
-logic cones.
+preserve functionality.  The AIG resynthesis passes do not use them: they
+compute cone functions with :func:`repro.aig.simulate.cone_truth_table` and
+factor them with :mod:`repro.aig.sop`.
 """
 
 from __future__ import annotations

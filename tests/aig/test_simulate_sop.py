@@ -4,11 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aig import Aig, cone_truth_table, exhaustive_truth_tables, make_lit, simulate_random
+from repro.aig import (
+    Aig,
+    cone_truth_table,
+    exhaustive_truth_tables,
+    lit_node,
+    make_lit,
+    simulate_random,
+)
+from repro.aig.cuts import cone_nodes, mffc_size, reconvergence_cut
+from repro.aig.rework import refactor
 from repro.aig.simulate import lit_values, output_signatures, simulate_patterns
 from repro.aig.sop import (
     build_factor_into_aig,
     cofactor,
+    cost_lower_bound,
     cover_table,
     factor_cover,
     factor_table,
@@ -107,3 +117,78 @@ class TestTruthTableOps:
         factor = factor_cover([{0: 1, 2: 0}])
         assert factor.num_ops() == 1
         assert "x0" in str(factor) and "x2" in str(factor)
+
+
+@st.composite
+def sized_tables(draw):
+    num_vars = draw(st.integers(2, 10))
+    return draw(st.integers(0, table_mask(num_vars))), num_vars
+
+
+@st.composite
+def literal_terms(draw):
+    """An AND or OR of distinct literals, with the variable count."""
+    num_vars = draw(st.integers(2, 10))
+    chosen = draw(st.lists(st.integers(0, num_vars - 1), min_size=1, unique=True))
+    mask = table_mask(num_vars)
+    literals = [
+        var_table(v, num_vars) ^ (mask if draw(st.booleans()) else 0) for v in chosen
+    ]
+    if draw(st.booleans()):
+        table = mask
+        for lit in literals:
+            table &= lit
+    else:
+        table = 0
+        for lit in literals:
+            table |= lit
+    return table, num_vars, len(chosen)
+
+
+class TestCostLowerBound:
+    @settings(max_examples=80, deadline=None)
+    @given(sized_tables())
+    def test_bound_never_exceeds_factored_cost(self, case):
+        table, num_vars = case
+        assert cost_lower_bound(table, num_vars) <= factored_form_cost(table, num_vars)[0]
+
+    @pytest.mark.parametrize("num_vars", [2, 5, 10])
+    def test_bound_is_exact_on_constants_and_literals(self, num_vars):
+        mask = table_mask(num_vars)
+        tables = [0, mask]
+        for var in range(num_vars):
+            tables += [var_table(var, num_vars), ~var_table(var, num_vars) & mask]
+        for table in tables:
+            assert cost_lower_bound(table, num_vars) == 0
+            assert factored_form_cost(table, num_vars)[0] == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(literal_terms())
+    def test_bound_is_exact_on_and_or_of_literals(self, case):
+        table, num_vars, width = case
+        assert cost_lower_bound(table, num_vars) == width - 1
+        assert factored_form_cost(table, num_vars)[0] == width - 1
+
+
+def test_refactor_skips_cones_the_bound_rejects():
+    # root = (x & y) & (y & z) with both inner ANDs also driving outputs:
+    # the root's cut is {x, y, z} (support 3, bound 2) but only the root
+    # itself would be freed, so no factoring can pay.
+    aig = Aig("shared")
+    x, y, z = (aig.add_pi(n) for n in "xyz")
+    a, b = aig.add_and(x, y), aig.add_and(y, z)
+    root = aig.add_and(a, b)
+    for lit, name in ((root, "root"), (a, "a"), (b, "b")):
+        aig.add_po(lit, name)
+    node = lit_node(root)
+    leaves = reconvergence_cut(aig, node)
+    assert leaves == list(aig.pi_nodes)
+    cone = cone_nodes(aig, node, leaves)
+    assert mffc_size(aig, node, cone, aig.fanout_counts()) == 1
+    assert cost_lower_bound(cone_truth_table(aig, root, leaves), len(leaves)) == 2
+
+    before = factored_form_cost.cache_info()
+    for zero_gain in (False, True):
+        assert refactor(aig, zero_gain=zero_gain) is aig
+    after = factored_form_cost.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
