@@ -11,12 +11,12 @@ environment variables control the fidelity/runtime trade-off:
 reproduces the closest approximation of the paper's setup (expect a long
 runtime in pure Python).
 
-The harness installs a session-wide synthesis engine backed by the
-content-addressed result cache of :mod:`repro.eval.engine`, so experiments
-that share circuits (e.g. the headline ablation re-running Tables 4 and 6)
-synthesise each (circuit, scale, options) combination only once.  Set
-``REPRO_CACHE_DIR`` to persist the cache across pytest sessions, or
-``REPRO_NO_CACHE=1`` to time every synthesis from scratch.
+Table benchmarks run through one session-wide :class:`repro.eval.Runner`
+backed by the content-addressed result cache of :mod:`repro.eval.engine`,
+so experiments that share circuits (e.g. the headline ablation re-running
+Tables 4 and 6) synthesise each (circuit, scale, options) combination only
+once.  Set ``REPRO_CACHE_DIR`` to persist the cache across pytest sessions,
+or ``REPRO_NO_CACHE=1`` to time every synthesis from scratch.
 """
 
 import os
@@ -40,25 +40,18 @@ def effort() -> str:
     return os.environ.get("REPRO_EFFORT", "low")
 
 
-@pytest.fixture(scope="session", autouse=True)
-def shared_result_cache(tmp_path_factory):
-    """Serve repeated synthesis jobs from one session-wide result cache."""
-    from repro.eval import ResultCache, SynthesisEngine, set_default_engine
+@pytest.fixture(scope="session")
+def runner(tmp_path_factory):
+    """One runner whose result cache serves repeated synthesis jobs."""
+    from repro.eval import ResultCache, Runner
 
     if os.environ.get("REPRO_NO_CACHE"):
-        # Disable both the disk cache and the engine's in-process memo so
-        # every benchmark times genuine from-scratch synthesis.
-        engine = SynthesisEngine(memoize=False)
-    else:
-        cache_dir = os.environ.get("REPRO_CACHE_DIR") or tmp_path_factory.mktemp(
-            "repro-cache"
-        )
-        engine = SynthesisEngine(cache=ResultCache(cache_dir))
-    previous = set_default_engine(engine)
-    try:
-        yield engine
-    finally:
-        set_default_engine(previous)
+        # No result cache: every benchmark times from-scratch synthesis.
+        return Runner(cache=None)
+    cache_dir = os.environ.get("REPRO_CACHE_DIR") or tmp_path_factory.mktemp(
+        "repro-cache"
+    )
+    return Runner(cache=ResultCache(cache_dir))
 
 
 def run_once(benchmark, fn, *args, **kwargs):

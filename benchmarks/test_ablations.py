@@ -11,7 +11,6 @@ from conftest import run_once
 
 from repro.circuits import build
 from repro.core import CellKind, FlowOptions, default_library, legacy_dro_flipflop_cost, synthesize_xsfq
-from repro.eval import run_headline
 
 
 def _ablate_combinational(name: str, scale: str, effort: str):
@@ -85,8 +84,8 @@ def test_ablation_flipflop_style_and_retiming(benchmark, scale, effort):
     assert max(retimed.sequential_info.stage_depths) <= max(paired.sequential_info.stage_depths)
 
 
-def test_headline_claim(benchmark, scale, effort):
-    result = run_once(benchmark, run_headline, scale=scale, effort=effort)
+def test_headline_claim(benchmark, runner, scale, effort):
+    result = run_once(benchmark, runner.run, "headline", scale=scale, effort=effort).result
     print(f"\n[Headline] Average JJ reduction across suites (scale={scale}, effort={effort})\n" + result.text)
     # The abstract claims >80% average reduction (4.3x); the reduced-scale
     # reproduction must at least show a large, consistent reduction.

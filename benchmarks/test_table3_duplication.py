@@ -2,11 +2,9 @@
 
 from conftest import run_once
 
-from repro.eval import run_table3
 
-
-def test_table3_duplication_penalty(benchmark, scale, effort):
-    result = run_once(benchmark, run_table3, scale=scale, effort=effort)
+def test_table3_duplication_penalty(benchmark, runner, scale, effort):
+    result = run_once(benchmark, runner.run, "table3", scale=scale, effort=effort).result
     print(f"\n[Table 3] Duplication penalty (scale={scale}, effort={effort})\n" + result.text)
     # Shape checks: every circuit beats the 100% penalty of direct mapping,
     # the voter stays the pathological case, and decoders stay near zero.

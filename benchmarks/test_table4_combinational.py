@@ -2,12 +2,11 @@
 
 from conftest import run_once
 
-from repro.eval import run_table4
 from repro.eval.paper_data import TABLE4_ROWS
 
 
-def test_table4_combinational_savings(benchmark, scale, effort):
-    result = run_once(benchmark, run_table4, scale=scale, effort=effort)
+def test_table4_combinational_savings(benchmark, runner, scale, effort):
+    result = run_once(benchmark, runner.run, "table4", scale=scale, effort=effort).result
     print(f"\n[Table 4] Combinational circuits vs PBMap-like baseline (scale={scale}, effort={effort})")
     print(result.text)
     print(

@@ -2,11 +2,9 @@
 
 from conftest import run_once
 
-from repro.eval import run_table5
 
-
-def test_table5_pipelining(benchmark, scale, effort):
-    result = run_once(benchmark, run_table5, scale=scale, effort=effort, stages=(0, 1, 2))
+def test_table5_pipelining(benchmark, runner, scale, effort):
+    result = run_once(benchmark, runner.run, "table5", scale=scale, effort=effort).result
     print(f"\n[Table 5] Pipelined multiplier (scale={scale}, effort={effort})\n" + result.text)
     # Shape checks from the paper: pipeline stages add JJs monotonically but
     # sub-linearly in the added DROCs, depth per stage shrinks and the clock

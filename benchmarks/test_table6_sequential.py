@@ -2,12 +2,11 @@
 
 from conftest import run_once
 
-from repro.eval import run_table6
 from repro.eval.paper_data import TABLE6_ROWS
 
 
-def test_table6_sequential_savings(benchmark, scale, effort):
-    result = run_once(benchmark, run_table6, scale=scale, effort=effort)
+def test_table6_sequential_savings(benchmark, runner, scale, effort):
+    result = run_once(benchmark, runner.run, "table6", scale=scale, effort=effort).result
     print(f"\n[Table 6] Sequential circuits vs qSeq-like baseline (scale={scale}, effort={effort})")
     print(result.text)
     print(

@@ -97,7 +97,6 @@ from .cov import (  # noqa: E402
     render_coverage_report,
     run_soak,
     steered_specs,
-    unit_features,
 )
 from .perf import (  # noqa: E402
     BenchReport,
@@ -134,7 +133,6 @@ from .eval import (  # noqa: E402
     ResultCache,
     Runner,
     RunReport,
-    SynthesisEngine,
     SynthesisJob,
     run_experiment,
 )
@@ -195,7 +193,6 @@ __all__ = [
     "render_coverage_report",
     "run_soak",
     "steered_specs",
-    "unit_features",
     # Performance harness
     "BenchSpec",
     "BenchResult",
@@ -228,7 +225,6 @@ __all__ = [
     "ResultCache",
     "Runner",
     "RunReport",
-    "SynthesisEngine",
     "SynthesisJob",
     "run_experiment",
     # Typed, versioned message layer

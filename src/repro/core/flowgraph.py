@@ -652,6 +652,9 @@ def set_stage_cache(cache: Optional[StageCache]) -> StageCache:
 #: One flow entry in canonical signature form: (stage name, merged options).
 SignatureEntry = Tuple[str, Tuple[Tuple[str, object], ...]]
 
+#: A whole flow signature, as stored on a job or campaign spec.
+StageSignature = Tuple[SignatureEntry, ...]
+
 #: The stages Flow.default() composes, in execution order.
 DEFAULT_STAGE_ORDER: Tuple[str, ...] = (
     "frontend",
@@ -828,7 +831,7 @@ class Flow:
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------
-    def signature(self) -> Tuple[SignatureEntry, ...]:
+    def signature(self) -> StageSignature:
         """Canonical identity: ordered stage names + fully merged options.
 
         This — not a pickled :class:`FlowOptions` — is what the result

@@ -43,7 +43,6 @@ from .features import (
     region_features,
     structural_features,
     unit_digest,
-    unit_features,
 )
 from .steer import steered_specs
 from .soak import (
@@ -77,5 +76,4 @@ __all__ = [
     "steered_specs",
     "structural_features",
     "unit_digest",
-    "unit_features",
 ]

@@ -62,7 +62,6 @@ __all__ = [
     "run_side_features",
     "structural_features",
     "unit_digest",
-    "unit_features",
 ]
 
 #: Logarithmic bucket labels shared by gate counts and logic depth.
@@ -327,19 +326,6 @@ def fault_features(flow_name: str, record: Mapping[str, object]) -> List[str]:
     kind = str(record.get("fault_kind") or "unknown")
     status = str(record.get("status") or "unknown")
     return [f"fault:{flow_name}:{kind}:{status}"]
-
-
-def unit_features(
-    spec: GenSpec,
-    flow_name: str,
-    record: Mapping[str, object],
-    network: Optional[LogicNetwork] = None,
-    corpus: Optional[Sequence[Tuple[str, GenSpec]]] = None,
-) -> List[str]:
-    """Every feature of one completed ``(circuit, flow)`` fuzz unit."""
-    return generation_features(
-        spec, network=network, corpus=corpus
-    ) + run_side_features(flow_name, record)
 
 
 def fold_units(coverage, units, records, corpus=None, memo=None) -> int:

@@ -3,8 +3,8 @@
 Two layers:
 
 * :mod:`repro.eval.experiments` — the assemblers (``run_table4`` & co.),
-  each of which enumerates declarative synthesis jobs and renders the
-  paper-style table;
+  each a pure function of its declarative synthesis jobs' records that
+  renders the paper-style table;
 * :mod:`repro.eval.engine` / :mod:`repro.eval.runner` — the execution
   engine: content-addressed result cache, executor-backed scheduling,
   the :data:`~repro.eval.runner.EXPERIMENTS` spec registry, and JSON/CSV
@@ -12,15 +12,7 @@ Two layers:
 """
 
 from . import paper_data
-from .engine import (
-    ResultCache,
-    SynthesisEngine,
-    SynthesisJob,
-    get_default_engine,
-    set_default_engine,
-    synthesis_record,
-    use_engine,
-)
+from .engine import ResultCache, SynthesisJob, synthesis_record
 from .experiments import (
     ExperimentResult,
     TABLE3_CIRCUITS,
@@ -71,12 +63,8 @@ __all__ = [
     "run_ablation",
     "run_headline",
     "ResultCache",
-    "SynthesisEngine",
     "SynthesisJob",
     "synthesis_record",
-    "get_default_engine",
-    "set_default_engine",
-    "use_engine",
     "EXPERIMENTS",
     "ExperimentSpec",
     "Runner",

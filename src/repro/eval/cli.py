@@ -60,7 +60,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..exec import EXECUTOR_NAMES, executor_name
 from ..exec.status import error_detail
@@ -446,12 +446,20 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
     runner = _campaign_runner(args, out)
 
     failures: List[str] = []
+    errors: List[Dict[str, object]] = []
     for name in names:
         spec = EXPERIMENTS[name]
         out.write(f"\n=== {name}: {spec.title} ===\n")
         report = runner.run(
             name, scale=args.scale, effort=args.effort, circuits=args.circuits
         )
+        if report.errors:
+            errors.extend(report.errors)
+            out.write(
+                f"not assembled: {len(report.errors)} of {report.total_jobs} "
+                "synthesis jobs errored\n"
+            )
+            continue
         out.write(report.result.text + "\n")
         _print_summary(report.result.summary, out)
         out.write(
@@ -481,10 +489,9 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
             f"\ncache: {stats['hits']} hits, {stats['misses']} misses, "
             f"{len(cache)} records in {cache.directory}\n"
         )
-    if failures:
-        out.write(f"FAILED shape checks: {', '.join(failures)}\n")
-        return 1
-    return 0
+    return _report_failures(
+        failures, errors, [f"FAILED shape checks: {', '.join(failures)}"], out
+    )
 
 
 def _print_summary(summary, out) -> None:
@@ -499,22 +506,25 @@ def _print_summary(summary, out) -> None:
 
 
 def _unit_name(record) -> str:
-    """A record's unit: circuit, then fault scenario and flow variant if any."""
+    """A record's unit: its ``unit`` label (``repro run``), else circuit,
+    then fault scenario and flow variant if any."""
+    if record.get("unit"):
+        return str(record["unit"])
     flow = record.get("flow_variant")
     parts = (record.get("circuit"), record.get("scenario"), flow and f"flow={flow}")
     return " ".join(str(part) for part in parts if part)
 
 
-def _report_failures(tally, failure_lines: Sequence[str], out) -> int:
-    """Print ``failure_lines`` if ``tally`` (a campaign report or soak
-    state) has verdict failures, then one FAILED line per error record;
-    return the exit code of :mod:`repro.exec.status`'s rule."""
-    if tally.failures:
+def _report_failures(failures, errors, failure_lines: Sequence[str], out) -> int:
+    """Print ``failure_lines`` if there are verdict ``failures``, then one
+    FAILED line per error record; return the exit code of
+    :mod:`repro.exec.status`'s rule: 1 on any failure or error."""
+    if failures:
         for line in failure_lines:
             out.write(line + "\n")
-    for record in tally.errors:
+    for record in errors:
         out.write(f"FAILED with error: {_unit_name(record)}: {error_detail(record)}\n")
-    return 0 if tally.passed else 1
+    return 1 if failures or errors else 0
 
 
 def _campaign_tail(report, out, noun: str, verb: str, failure_lines, save=None,
@@ -533,7 +543,7 @@ def _campaign_tail(report, out, noun: str, verb: str, failure_lines, save=None,
     if save is not None:
         atomic_write_json(save, report.to_dict())
         out.write(f"saved {save}\n")
-    return _report_failures(report, failure_lines, out)
+    return _report_failures(report.failures, report.errors, failure_lines, out)
 
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
@@ -652,7 +662,8 @@ def _cmd_fuzz_soak(args: argparse.Namespace, out) -> int:
         out.write(f"saved {report_path}\n")
 
     return _report_failures(
-        view,
+        view.failures,
+        view.errors,
         ["FAILED equivalence on:"] + [f"  {replay_line(r)}" for r in view.failures],
         out,
     )

@@ -15,13 +15,10 @@ expensive shared prefixes: a cached post-``aig-opt`` AIG is reused
 across polarity/mapping variants of the same circuit, which is the bulk
 of the ablation and table-sweep wall clock.
 
-The :class:`SynthesisEngine` is the seam between the experiment
-assemblers in :mod:`repro.eval.experiments` and the scheduler in
-:mod:`repro.eval.runner`: assemblers ask the engine for records, and the
-runner pre-populates the engine's cache through :mod:`repro.exec` so
-the assembly step never synthesises anything itself.  A module-level
-default engine lets long-running hosts (the benchmark harness, the CLI)
-install a shared cache once and have every experiment pick it up.
+Jobs run only through :func:`repro.exec.run_units` (driven by
+:class:`repro.eval.runner.Runner`), which replays cached records,
+computes the rest with :func:`synthesis_record` and hands the records
+to the pure assemblers of :mod:`repro.eval.experiments`.
 """
 
 from __future__ import annotations
@@ -30,15 +27,15 @@ import contextlib
 import json
 import logging
 import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import ClassVar, Dict, Mapping, Optional, Tuple
 
 from ..baselines import pbmap_like, qseq_like
 from ..circuits import build as build_circuit
 from ..circuits import info as circuit_info
 from ..core import Flow, FlowOptions, TimingObserver, get_stage_cache
+from ..core.flowgraph import StageSignature
 from ..schema import (
     atomic_write_json,
     load_document,
@@ -48,9 +45,6 @@ from ..schema import (
 )
 
 logger = logging.getLogger(__name__)
-
-#: A flow signature entry as stored on a job: (stage name, merged options).
-StageSignature = Tuple[Tuple[str, Tuple[Tuple[str, object], ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -314,85 +308,3 @@ class ResultCache:
 
     def stats(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses, "puts": self.puts}
-
-
-@dataclass
-class SynthesisEngine:
-    """Serves synthesis records, optionally memoised in a :class:`ResultCache`.
-
-    ``record()`` is the only entry point the experiment assemblers use;
-    with no cache attached it degrades to direct serial computation,
-    which keeps the refactored experiments behaviourally identical to
-    the original inline-synthesis code path.
-    """
-
-    cache: Optional[ResultCache] = None
-    #: Jobs computed by this engine (not served from cache), with timings.
-    computed: List[Tuple[SynthesisJob, float]] = field(default_factory=list)
-    #: When False, repeated requests re-synthesise (for timing studies).
-    memoize: bool = True
-    #: In-process memo so one engine never synthesises the same job twice,
-    #: even with no disk cache attached.
-    memory: Dict[str, Dict[str, object]] = field(default_factory=dict)
-
-    def record(
-        self,
-        circuit: str,
-        scale: str = "quick",
-        options: Optional[Mapping[str, object]] = None,
-    ) -> Dict[str, object]:
-        return self.record_for(SynthesisJob.create(circuit, scale, options))
-
-    def record_for(self, job: SynthesisJob) -> Dict[str, object]:
-        key = job.key()
-        if self.memoize and key in self.memory:
-            return self.memory[key]
-        if self.cache is not None:
-            cached = self.cache.get(job)
-            if cached is not None:
-                self.memory[key] = cached
-                return cached
-        start = time.perf_counter()
-        record = synthesis_record(job)
-        self.computed.append((job, time.perf_counter() - start))
-        self.memory[key] = record
-        if self.cache is not None:
-            self.cache.put(job, record)
-        return record
-
-    def prime(
-        self,
-        job: SynthesisJob,
-        record: Mapping[str, object],
-        persist: bool = True,
-    ) -> None:
-        """Store an externally computed record (used by the parallel runner)."""
-        self.memory[job.key()] = dict(record)
-        if persist and self.cache is not None:
-            self.cache.put(job, record)
-
-
-_DEFAULT_ENGINE = SynthesisEngine()
-
-
-def get_default_engine() -> SynthesisEngine:
-    """The engine experiments use when none is passed explicitly."""
-    return _DEFAULT_ENGINE
-
-
-def set_default_engine(engine: Optional[SynthesisEngine]) -> SynthesisEngine:
-    """Install (or, with ``None``, reset) the process-wide default engine."""
-    global _DEFAULT_ENGINE
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = engine if engine is not None else SynthesisEngine()
-    return previous
-
-
-@contextlib.contextmanager
-def use_engine(engine: SynthesisEngine) -> Iterator[SynthesisEngine]:
-    """Temporarily install ``engine`` as the process-wide default."""
-    previous = set_default_engine(engine)
-    try:
-        yield engine
-    finally:
-        set_default_engine(previous)

@@ -6,15 +6,12 @@ table.  The ``scale`` argument selects between the reduced "quick" circuit
 dimensions (default — suitable for CI and the shipped benchmark harness)
 and the "paper"-scale dimensions.
 
-Per-circuit synthesis is *not* performed inline: each runner enumerates
+Per-circuit synthesis is *not* performed here: each table enumerates
 declarative :class:`~repro.eval.engine.SynthesisJob` units (see the
-``*_jobs`` helpers) and asks a :class:`~repro.eval.engine.SynthesisEngine`
-for the corresponding metric records.  The default engine computes
-serially with no disk cache (though it memoises repeated jobs
-in-process; pass ``SynthesisEngine(memoize=False)`` to time every
-synthesis from scratch), while the parallel runner (:mod:`repro.eval.runner`)
-pre-populates a shared content-addressed cache through :mod:`repro.exec` so
-the assembly step here never synthesises anything itself.
+``*_jobs`` helpers), :class:`repro.eval.runner.Runner` computes or
+replays their metric records through :mod:`repro.exec`, and the
+assembler is a pure function of those ``records`` (job key → record).
+Run a table with :func:`repro.eval.runner.run_experiment`.
 
 The measured numbers are not expected to match the paper's absolute values
 (different benchmark instantiations, different optimiser); the *shape* —
@@ -48,7 +45,10 @@ from ..netlist.network import NetworkBuilder
 from ..sim.pulse import simulate_sequential
 from ..sim.pulse.elements import FaCell, LaCell
 from . import paper_data
-from .engine import SynthesisEngine, SynthesisJob, get_default_engine
+from .engine import SynthesisJob
+
+#: Synthesis records by job key, as :func:`repro.exec.run_units` resolves them.
+Records = Mapping[str, Mapping[str, object]]
 
 
 @dataclass
@@ -68,10 +68,6 @@ class ExperimentResult:
     text: str = ""
     summary: Dict[str, object] = field(default_factory=dict)
     scale: str = "quick"
-
-
-def _engine(engine: Optional[SynthesisEngine]) -> SynthesisEngine:
-    return engine if engine is not None else get_default_engine()
 
 
 def _report_from_record(record: Mapping[str, object]) -> CircuitReport:
@@ -308,16 +304,13 @@ def table3_jobs(scale: str = "quick", effort: str = "medium") -> List[SynthesisJ
 
 
 def run_table3(
-    scale: str = "quick",
-    effort: str = "medium",
-    engine: Optional[SynthesisEngine] = None,
+    records: Records, scale: str = "quick", effort: str = "medium"
 ) -> ExperimentResult:
     """Reproduce Table 3: duplication penalty after the polarity optimisations."""
-    eng = _engine(engine)
     rows: List[Dict[str, object]] = []
     penalties: Dict[str, float] = {}
     for job in table3_jobs(scale, effort):
-        record = eng.record_for(job)
+        record = records[job.key()]
         penalties[job.circuit] = record["duplication"]
         rows.append(
             {
@@ -357,15 +350,14 @@ def table4_jobs(
 
 
 def run_table4(
+    records: Records,
     scale: str = "quick",
     effort: str = "medium",
     circuits: Optional[Sequence[str]] = None,
-    engine: Optional[SynthesisEngine] = None,
 ) -> ExperimentResult:
     """Reproduce Table 4: JJ counts and savings for combinational circuits."""
-    eng = _engine(engine)
     reports = [
-        _report_from_record(eng.record_for(job))
+        _report_from_record(records[job.key()])
         for job in table4_jobs(scale, effort, circuits)
     ]
     rows: List[Dict[str, object]] = []
@@ -418,18 +410,16 @@ def table5_jobs(
 
 
 def run_table5(
+    records: Records,
     scale: str = "quick",
     effort: str = "medium",
     stages: Sequence[int] = (0, 1, 2),
-    engine: Optional[SynthesisEngine] = None,
 ) -> ExperimentResult:
     """Reproduce Table 5: pipelined c6288 (JJ, DROC, depth, clock frequency)."""
-    eng = _engine(engine)
     reports: List[CircuitReport] = []
     rows: List[Dict[str, object]] = []
     for num_stages, job in zip(stages, table5_jobs(scale, effort, stages)):
-        record = eng.record_for(job)
-        report = _report_from_record(record)
+        report = _report_from_record(records[job.key()])
         report.circuit = f"c6288/{num_stages}"
         report.baseline_jj = None
         report.baseline_jj_clocked = None
@@ -498,17 +488,16 @@ def table6_jobs(
 
 
 def run_table6(
+    records: Records,
     scale: str = "quick",
     effort: str = "medium",
     circuits: Optional[Sequence[str]] = None,
-    engine: Optional[SynthesisEngine] = None,
 ) -> ExperimentResult:
     """Reproduce Table 6: sequential ISCAS89-class circuits vs qSeq."""
-    eng = _engine(engine)
     reports: List[CircuitReport] = []
     rows: List[Dict[str, object]] = []
     for job in table6_jobs(scale, effort, circuits):
-        record = eng.record_for(job)
+        record = records[job.key()]
         report = _report_from_record(record)
         reports.append(report)
         paper_row = paper_data.TABLE6_ROWS.get(job.circuit)
@@ -637,9 +626,7 @@ def ablation_jobs(scale: str = "quick", effort: str = "medium") -> List[Synthesi
 
 
 def run_ablation(
-    scale: str = "quick",
-    effort: str = "medium",
-    engine: Optional[SynthesisEngine] = None,
+    records: Records, scale: str = "quick", effort: str = "medium"
 ) -> ExperimentResult:
     """Quantify each flow ingredient (AIG opt, polarity, PTL, retiming).
 
@@ -647,7 +634,6 @@ def run_ablation(
     optimisation progression on a c880-class ALU, the PTL interconnect
     cost model on c1908, and DROC retiming on the sequential s298.
     """
-    eng = _engine(engine)
     jobs = ablation_jobs(scale, effort)
     combinational = jobs[: len(_ABLATION_VARIANTS)]
     ptl_job, retimed_job, paired_job = jobs[len(_ABLATION_VARIANTS):]
@@ -655,7 +641,7 @@ def run_ablation(
     rows: List[Dict[str, object]] = []
     jj_progression: List[int] = []
     for (label, _), job in zip(_ABLATION_VARIANTS, combinational):
-        record = eng.record_for(job)
+        record = records[job.key()]
         jj_progression.append(record["jj"])
         rows.append(
             {
@@ -668,7 +654,7 @@ def run_ablation(
             }
         )
 
-    ptl_record = eng.record_for(ptl_job)
+    ptl_record = records[ptl_job.key()]
     rows.append(
         {
             "study": "interconnect",
@@ -679,8 +665,8 @@ def run_ablation(
         }
     )
 
-    retimed = eng.record_for(retimed_job)
-    paired = eng.record_for(paired_job)
+    retimed = records[retimed_job.key()]
+    paired = records[paired_job.key()]
     for label, record in (("retimed DROC rank", retimed), ("paired DROC ranks", paired)):
         rows.append(
             {
@@ -721,13 +707,11 @@ def headline_jobs(scale: str = "quick", effort: str = "low") -> List[SynthesisJo
 
 
 def run_headline(
-    scale: str = "quick",
-    effort: str = "low",
-    engine: Optional[SynthesisEngine] = None,
+    records: Records, scale: str = "quick", effort: str = "low"
 ) -> ExperimentResult:
     """Check the abstract's headline: >80% average JJ reduction vs the baseline."""
-    table4 = run_table4(scale=scale, effort=effort, engine=engine)
-    table6 = run_table6(scale=scale, effort=effort, engine=engine)
+    table4 = run_table4(records, scale=scale, effort=effort)
+    table6 = run_table6(records, scale=scale, effort=effort)
     savings = [r["savings"] for r in table4.rows + table6.rows if r["savings"]]
     reductions = [1.0 - 1.0 / s for s in savings]
     summary = {

@@ -9,13 +9,14 @@ from :mod:`repro.eval.experiments`, and an enumerator of the
 The :class:`Runner` schedules those jobs through the shared
 :mod:`repro.exec` lifecycle (in-process, or across supervised worker
 processes), memoises every record in a content-addressed
-:class:`~repro.eval.engine.ResultCache`, then hands the pre-populated
-cache to the assembler — so a warm cache reproduces any table with zero
+:class:`~repro.eval.engine.ResultCache`, then hands the records to the
+assembler — so a warm cache reproduces any table with zero
 re-synthesis, and a cold run is limited by the slowest single circuit
 rather than the sum of all of them.  :class:`RunReport` carries the
 assembled :class:`~repro.eval.experiments.ExperimentResult` together
 with per-job timings and cache statistics, and can be emitted as JSON or
-CSV for downstream tooling.
+CSV for downstream tooling.  An experiment with an errored job is not
+assembled: its report carries the error records instead.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from . import experiments
 from ..exec import ExecEvent, SpecUnit, executor_name, render_event, run_units, spec_units
@@ -37,13 +38,8 @@ from ..verify.campaign import (
     VerificationSpec,
     verification_record,
 )
-from .engine import (
-    ResultCache,
-    SynthesisEngine,
-    SynthesisJob,
-    synthesis_record,
-)
-from .experiments import ExperimentResult
+from .engine import ResultCache, SynthesisJob, synthesis_record
+from .experiments import ExperimentResult, Records
 
 ProgressFn = Callable[[str], None]
 
@@ -55,7 +51,8 @@ class ExperimentSpec:
     Attributes:
         name: CLI identifier (``"table4"``, ``"figure7"``, ...).
         title: Human-readable description of what the paper artefact shows.
-        run: Assembler ``(scale, effort, engine, circuits) -> ExperimentResult``.
+        run: Assembler ``(records, scale, effort[, circuits]) -> ExperimentResult``,
+            a pure function of the jobs' records (job key → record).
         jobs: Enumerator of the synthesis jobs the assembler will request;
             ``None`` for experiments with no catalogued-circuit synthesis.
         default_effort: AIG effort used when the caller does not choose one.
@@ -84,28 +81,28 @@ class ExperimentSpec:
 
     def assemble(
         self,
+        records: Records,
         scale: str = "quick",
         effort: Optional[str] = None,
-        engine: Optional[SynthesisEngine] = None,
         circuits: Optional[Sequence[str]] = None,
     ) -> ExperimentResult:
         effort = effort or self.default_effort
         if self.supports_circuits:
-            return self.run(scale=scale, effort=effort, circuits=circuits, engine=engine)
-        return self.run(scale=scale, effort=effort, engine=engine)
+            return self.run(records, scale=scale, effort=effort, circuits=circuits)
+        return self.run(records, scale=scale, effort=effort)
 
 
 def _fixed(fn: Callable[[], ExperimentResult]) -> Callable[..., ExperimentResult]:
     """Adapt a no-argument experiment to the uniform assembler signature."""
 
-    def run(scale: str = "quick", effort: str = "medium", engine=None, circuits=None):
+    def run(records: Records, scale: str = "quick", effort: str = "medium"):
         return fn()
 
     run.__doc__ = fn.__doc__
     return run
 
 
-def _figure7(scale: str = "quick", effort: str = "medium", engine=None, circuits=None):
+def _figure7(records: Records, scale: str = "quick", effort: str = "medium"):
     return experiments.run_figure7(effort=effort)
 
 
@@ -172,12 +169,14 @@ class RunReport:
     """Everything one :meth:`Runner.run` invocation produced.
 
     Attributes:
-        result: The assembled experiment result.
+        result: The assembled experiment result; empty (no rows, text or
+            summary) when a job errored and the experiment was not
+            assembled.
         scale: Circuit scale used.
         effort: AIG effort used.
         jobs: Worker processes requested (``-j``).
         total_jobs: Synthesis jobs the experiment needed.
-        computed_jobs: Jobs actually synthesised this run (cache misses).
+        computed_jobs: Jobs run this run (cache misses, errored jobs included).
         cached_jobs: Jobs served from the result cache.
         job_timings: Seconds per computed job, keyed by a job label.
         stage_timings: Per-stage aggregate over every record the run
@@ -186,6 +185,8 @@ class RunReport:
             stage-cache hits and records replayed from the result cache
             count under ``cached``.  Rendered by ``repro run --stage-timing``.
         elapsed_s: Wall-clock for the whole run (synthesis + assembly).
+        errors: The ``status: "error"`` records of jobs that raised,
+            crashed or timed out, each with its job label as ``unit``.
     """
 
     result: ExperimentResult
@@ -198,6 +199,7 @@ class RunReport:
     job_timings: Dict[str, float] = field(default_factory=dict)
     stage_timings: Dict[str, Dict[str, float]] = field(default_factory=dict)
     elapsed_s: float = 0.0
+    errors: List[Dict[str, object]] = field(default_factory=list)
 
     @property
     def experiment(self) -> str:
@@ -369,30 +371,34 @@ class Runner:
         effort = effort or spec.default_effort
         started = time.perf_counter()
 
-        engine = SynthesisEngine(cache=self.cache)
         job_list = spec.enumerate_jobs(scale, effort, circuits)
-        timings, computed_keys = self._prefetch(engine, job_list)
-
-        result = spec.assemble(scale, effort, engine, circuits)
-        # Jobs the assembler needed beyond the enumerated set (there should
-        # be none — specs enumerate exactly what their assembler requests).
-        for job, seconds in engine.computed:
-            timings.setdefault(_job_label(job), seconds)
-            computed_keys.add(job.key())
+        labels = {job.key(): _job_label(job) for job in job_list}
+        outcome = self._run_units(
+            spec_units(job_list, synthesis_record, _job_label), "synthesised", "synthesis"
+        )
+        errors = [
+            dict(record, unit=labels[key])
+            for key, record in outcome.records.items()
+            if classify(record) == "error"
+        ]
+        if errors:
+            result = ExperimentResult(experiment, scale=scale)
+        else:
+            result = spec.assemble(outcome.records, scale, effort, circuits)
 
         elapsed = time.perf_counter() - started
-        computed = len(timings)
         report = RunReport(
             result=result,
             scale=scale,
             effort=effort,
             jobs=self.jobs,
             total_jobs=len(job_list),
-            computed_jobs=computed,
-            cached_jobs=max(0, len(job_list) - computed),
-            job_timings=timings,
-            stage_timings=_aggregate_stage_timings(engine.memory, computed_keys),
+            computed_jobs=outcome.computed,
+            cached_jobs=outcome.cached,
+            job_timings={labels[key]: s for key, s in outcome.seconds.items()},
+            stage_timings=_aggregate_stage_timings(outcome.records, outcome.seconds),
             elapsed_s=elapsed,
+            errors=errors,
         )
         self.progress(
             f"[{experiment}] done in {elapsed:.2f}s "
@@ -532,35 +538,6 @@ class Runner:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _prefetch(
-        self, engine: SynthesisEngine, job_list: Sequence[SynthesisJob]
-    ) -> Tuple[Dict[str, float], set]:
-        """Compute every enumerated job missing from the cache.
-
-        Returns per-job wall times and the cache keys of the jobs actually
-        synthesised this run (vs replayed from the result cache).
-        """
-        timings: Dict[str, float] = {}
-        if not job_list:
-            return timings, set()
-
-        unit_by_key: Dict[str, SpecUnit] = {}
-        for unit in spec_units(job_list, synthesis_record, _job_label):
-            unit_by_key.setdefault(unit.key(), unit)
-        # The lifecycle replays cache hits and writes fresh records back
-        # (so cache hit/miss/put statistics match the historical path);
-        # priming below only fills the engine's in-process memory.
-        outcome = self._run_units(list(unit_by_key.values()), "synthesised", "synthesis")
-        for key, record in outcome.records.items():
-            if classify(record) == "error":
-                # Leave the engine cold for this job: the assembler will
-                # recompute it serially and surface the real exception.
-                continue
-            engine.prime(unit_by_key[key].spec, record, persist=False)
-        for key, seconds in outcome.seconds.items():
-            timings[unit_by_key[key].description] = seconds
-        return timings, set(outcome.seconds)
-
     def _run_units(self, units, verb: str, noun: str):
         """:func:`repro.exec.run_units` with this runner's settings."""
         return run_units(

@@ -1,6 +1,6 @@
 """The one execution lifecycle every campaign path runs through.
 
-:func:`run_units` is the shared pipeline behind ``Runner._prefetch``
+:func:`run_units` is the shared pipeline behind ``Runner.run``
 (synthesis jobs), ``Runner._campaign`` (the ``verify``, ``fuzz`` and
 ``faults`` campaigns, soak batches included) and the perf harness:
 

@@ -10,8 +10,9 @@
   ``tolerated`` or a ``miscompare`` under an injected fault.
 
 A campaign passes only with neither failures nor errors.  The
-``verify``, ``fuzz`` and ``faults`` reports, soak checkpoints and the
-CLI exit codes all read this rule.
+``verify``, ``fuzz`` and ``faults`` reports, soak checkpoints, the
+synthesis jobs of ``repro run`` and the CLI exit codes all read this
+rule.
 """
 
 from __future__ import annotations

@@ -41,11 +41,11 @@ from ..circuits import info as circuit_info
 from ..circuits import names as circuit_names
 from ..core import Flow, get_stage_cache
 from ..core.report import format_table
-from ..core.flowgraph import flow_variant
+from ..core.flowgraph import StageSignature, flow_variant
 from ..exec.status import CampaignReport, classify, verified_patterns
 from ..schema import load_document, pack, schema_tag, spec_key
 from ..sim.pulse import suggest_phase_period
-from ..verify.campaign import StageSignature, _cell_counts, verdict_detail
+from ..verify.campaign import _cell_counts, verdict_detail
 from ..verify.equivalence import verify_result
 from .margin import MarginResult, search_margin
 from .scenario import FaultScenario, default_scenario, fault_kind, parse_fault_name

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence
 
 from ..circuits import build as build_circuit
 from ..circuits import info as circuit_info
 from ..circuits import names as circuit_names
 from ..core import Flow, get_stage_cache
+from ..core.flowgraph import StageSignature
 from ..core.report import format_table
 from ..exec.status import CampaignReport, classify, error_detail, verified_patterns
 from ..schema import spec_key
@@ -38,10 +39,6 @@ __all__ = [
     "catalog_specs",
     "verification_record",
 ]
-
-#: A flow signature as stored on a spec (same shape as SynthesisJob.stages).
-StageSignature = Tuple[Tuple[str, Tuple[Tuple[str, object], ...]], ...]
-
 
 @dataclass(frozen=True)
 class VerificationSpec:

@@ -5,14 +5,9 @@ import json
 import pytest
 
 from repro.core import Flow, FlowOptions, StageCache, set_stage_cache
-from repro.eval import (
-    ResultCache,
-    Runner,
-    SynthesisEngine,
-    SynthesisJob,
-    run_table4,
-)
+from repro.eval import ResultCache, Runner, SynthesisJob, synthesis_record
 from repro.eval.runner import EXPERIMENTS, load_report, write_csv, write_json
+from repro.exec import SpecUnit, run_units
 
 # Small, fast circuits: the point of these tests is the engine, not the flow.
 FAST_CIRCUITS = ["ctrl", "int2float"]
@@ -25,6 +20,11 @@ def fast_job(circuit="ctrl", scale="quick", **overrides):
     return SynthesisJob.create(circuit, scale, options)
 
 
+def run_jobs(cache, *jobs):
+    """Resolve ``jobs`` through the execution lifecycle against ``cache``."""
+    return run_units([SpecUnit(job, synthesis_record) for job in jobs], cache=cache)
+
+
 # ---------------------------------------------------------------------------
 # Cache
 # ---------------------------------------------------------------------------
@@ -32,19 +32,18 @@ def fast_job(circuit="ctrl", scale="quick", **overrides):
 
 def test_cache_miss_then_hit(tmp_path):
     cache = ResultCache(tmp_path)
-    engine = SynthesisEngine(cache=cache)
     job = fast_job()
 
-    record = engine.record_for(job)
+    record = run_jobs(cache, job).records[job.key()]
     assert cache.misses == 1 and cache.puts == 1 and cache.hits == 0
     assert record["circuit"] == "ctrl" and record["jj"] > 0
 
-    # A second engine on the same directory must hit, not recompute.
-    fresh = SynthesisEngine(cache=ResultCache(tmp_path))
-    replay = fresh.record_for(job)
-    assert fresh.cache.hits == 1 and fresh.cache.misses == 0
-    assert not fresh.computed
-    assert replay == json.loads(json.dumps(record))  # JSON-roundtripped equal
+    # A second cache on the same directory must hit, not recompute.
+    fresh = ResultCache(tmp_path)
+    replay = run_jobs(fresh, job)
+    assert fresh.hits == 1 and fresh.misses == 0
+    assert replay.computed == 0
+    assert replay.records[job.key()] == json.loads(json.dumps(record))  # JSON-roundtripped equal
 
 
 def test_cache_key_distinguishes_jobs():
@@ -62,19 +61,10 @@ def test_cache_key_distinguishes_jobs():
 
 def test_cache_clear_and_len(tmp_path):
     cache = ResultCache(tmp_path)
-    engine = SynthesisEngine(cache=cache)
-    engine.record_for(fast_job())
+    run_jobs(cache, fast_job())
     assert len(cache) == 1 and cache.contains(fast_job())
     assert cache.clear() == 1
     assert len(cache) == 0 and not cache.contains(fast_job())
-
-
-def test_engine_memory_avoids_recompute_without_disk_cache():
-    engine = SynthesisEngine()
-    first = engine.record("ctrl", options=FAST_OPTIONS)
-    second = engine.record("ctrl", options=FAST_OPTIONS)
-    assert first is second
-    assert len(engine.computed) == 1
 
 
 def test_cache_keys_on_flow_signature():
@@ -101,8 +91,7 @@ def test_cache_keys_on_flow_signature():
 
 
 def test_record_carries_flow_signature_and_stage_timings():
-    engine = SynthesisEngine()
-    record = engine.record("ctrl", options=FAST_OPTIONS)
+    record = synthesis_record(fast_job())
     assert [entry[0] for entry in record["flow"]] == [
         "frontend", "aig-opt", "pipeline", "polarity", "map", "sequential", "report",
     ]
@@ -123,10 +112,9 @@ def test_polarity_sweep_reuses_cached_aig_opt_stage():
     previous = set_stage_cache(StageCache())
     try:
         stage_cache = get_stage_cache()
-        engine = SynthesisEngine()
-        engine.record("ctrl", options={"effort": "low", "optimize_polarity": True})
+        synthesis_record(fast_job(effort="low", optimize_polarity=True))
         hits_before = stage_cache.hits
-        second = engine.record("ctrl", options={"effort": "low", "optimize_polarity": False})
+        second = synthesis_record(fast_job(effort="low", optimize_polarity=False))
         assert stage_cache.hits == hits_before + 1
         # The reused prefix is exactly the post-aig-opt boundary: the second
         # record shows frontend/aig-opt served from the stage cache.
@@ -139,15 +127,13 @@ def test_polarity_sweep_reuses_cached_aig_opt_stage():
 def test_stage_cache_does_not_change_results():
     previous = set_stage_cache(StageCache())
     try:
-        warm = SynthesisEngine(memoize=False)
-        first = warm.record("int2float", options={"effort": "low"})
-        second = warm.record("int2float", options={"effort": "low", "optimize_polarity": False})
+        plain = fast_job("int2float", effort="low")
+        positive = fast_job("int2float", effort="low", optimize_polarity=False)
+        first = synthesis_record(plain)
+        second = synthesis_record(positive)
         set_stage_cache(StageCache())  # cold cache, same jobs
-        cold = SynthesisEngine(memoize=False)
-        assert _metrics_only(cold.record("int2float", options={"effort": "low"})) == _metrics_only(first)
-        assert _metrics_only(
-            cold.record("int2float", options={"effort": "low", "optimize_polarity": False})
-        ) == _metrics_only(second)
+        assert _metrics_only(synthesis_record(plain)) == _metrics_only(first)
+        assert _metrics_only(synthesis_record(positive)) == _metrics_only(second)
     finally:
         set_stage_cache(previous)
 
@@ -163,7 +149,7 @@ def _metrics_only(record):
 
 
 def test_parallel_run_matches_serial_assembly(tmp_path):
-    serial = run_table4(effort="none", circuits=FAST_CIRCUITS, engine=SynthesisEngine())
+    serial = Runner(jobs=1).run("table4", effort="none", circuits=FAST_CIRCUITS).result
 
     runner = Runner(jobs=2, cache=ResultCache(tmp_path / "cache"))
     report = runner.run("table4", effort="none", circuits=FAST_CIRCUITS)

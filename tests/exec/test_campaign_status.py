@@ -1,10 +1,10 @@
 """The shared status rule: errored units fail every campaign, loudly.
 
 A unit that produces no verdict resolves to a ``status: "error"``
-placeholder record.  ``verify``, ``fuzz`` (plain and soak) and
-``faults`` must all count it as a failure — exit 1 with a FAILED line
+placeholder record.  ``verify``, ``fuzz`` (plain and soak), ``faults``
+and ``run`` must all count it as a failure — exit 1 with a FAILED line
 naming the unit — and leave it out of pattern, margin and injection
-totals.  The errors here are injected by making circuit construction
+totals.  Most errors here are injected by making circuit construction
 raise on the in-process serial backend, so they are deterministic.
 """
 
@@ -115,3 +115,13 @@ def test_soak_fails_on_an_errored_unit(broken_builds, tmp_path, capsys):
 
     # The merged view of the checkpoint reads the same rule.
     assert cli.main(["fuzz", "--merge", "--checkpoint", str(tmp_path), "-q"]) == 1
+
+
+def test_run_fails_on_an_errored_synthesis_job(capsys):
+    # The job is killed at its deadline; it must not be re-synthesised
+    # without one and assembled into a table.
+    argv = ["run", "table4", "--circuits", "sin", "--unit-timeout", "0.001", "--no-cache", "-q"]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "FAILED with error: sin@quick: Timeout:" in out
+    assert "Circuit" not in out

@@ -20,12 +20,9 @@ from repro.eval import (
     run_figure1,
     run_figure4_5,
     run_figure7,
+    run_experiment,
     run_table1,
     run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
-    run_table6,
 )
 from repro.netlist import NetworkBuilder
 from repro.rtl import RtlModule, Word
@@ -161,26 +158,30 @@ class TestExperimentRunners:
         assert result.summary["matches_paper"]
 
     def test_table3_shape(self):
-        result = run_table3(scale="quick", effort="low")
+        result = run_experiment("table3", effort="low", use_cache=False).result
         assert result.summary["all_below_direct_mapping"]
         penalties = {row["circuit"]: row["duplication"] for row in result.rows}
         assert penalties["voter"] > 0.5  # the paper's pathological case
         assert penalties["dec"] <= 0.1
 
     def test_table4_shape_on_subset(self):
-        result = run_table4(scale="quick", effort="low", circuits=["c880", "dec", "priority"])
+        result = run_experiment(
+            "table4", effort="low", circuits=["c880", "dec", "priority"], use_cache=False
+        ).result
         assert result.summary["xsfq_always_wins"]
         assert result.summary["no_storage_cells"]
         assert result.summary["mean_savings"] > 1.5
 
     def test_table5_shape(self):
-        result = run_table5(scale="quick", effort="low", stages=(0, 1))
+        result = run_experiment("table5", effort="low", use_cache=False).result
         assert result.summary["depth_shrinks"]
         assert result.summary["frequency_grows"]
         assert result.summary["jj_growth_monotonic"]
 
     def test_table6_shape_on_subset(self):
-        result = run_table6(scale="quick", effort="low", circuits=["s27", "s298", "s386"])
+        result = run_experiment(
+            "table6", effort="low", circuits=["s27", "s298", "s386"], use_cache=False
+        ).result
         assert result.summary["xsfq_always_wins"]
         assert result.summary["preloaded_matches_flipflops"]
 
